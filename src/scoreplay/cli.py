@@ -21,6 +21,7 @@ from .notation import ParseError, parse, parse_score, to_structured
 from .order import (
     DEFAULT_UNIVERSE,
     Refuted,
+    UNIVERSE_SIZE_LIMIT,
     UniverseSpec,
     enumerate_universe,
     equal,
@@ -30,7 +31,7 @@ from .order import (
 )
 from .rulesets import TfError, tf_parse, tf_to_game
 from .score import base_sets, final_scores, outcome
-from .sums import add
+from .sums import SumEvaluator, add
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -140,7 +141,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         spec = UniverseSpec(args.depth, args.width, scores)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    if universe_size(spec) > 2_000_000:
+    if universe_size(spec) > UNIVERSE_SIZE_LIMIT:
         raise CliError(
             f"context universe {spec.describe()} has {universe_size(spec)} "
             "games; pick smaller bounds"
@@ -217,8 +218,9 @@ def _verdict_fields(v) -> dict:
 def cmd_cmp(args, config: RunConfig, out: _Output) -> int:
     g = _parse_expr(args.expr1)
     h = _parse_expr(args.expr2)
+    ev = SumEvaluator()  # the rows of g and h serve all three searches
     for rel, fn in ((">=", greater_equal), ("<=", less_equal), ("=", equal)):
-        v = fn(g, h, config.spec)
+        v = fn(g, h, config.spec, ev)
         out.text(f"{rel} {v}")
         out.record(relation=rel, term=render(g), other=render(h),
                    **_verdict_fields(v))

@@ -8,7 +8,7 @@ Grammar::
 
 Whitespace is insignificant.  A bare number denotes the leaf {.|n|.};
 '.' is the only spelling of an empty option set.  Decimals are converted
-to exact rationals.
+to exact rationals.  Braces may nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "ParseError",
     "RecordError",
     "DuplicateOptionWarning",
+    "MAX_NESTING",
     "parse",
     "parse_score",
     "print_game",
@@ -56,6 +57,12 @@ class RecordError(ValueError):
 class DuplicateOptionWarning(UserWarning):
     """An option set literal repeated a member; duplicates collapse."""
 
+
+#: Deepest brace nesting parse() accepts.  The parser, evaluators and
+#: printers recurse with up to a few Python frames per level of a term,
+#: so a term this deep stays inside the default recursion limit; deeper
+#: input is a ParseError instead of a RecursionError.
+MAX_NESTING = 200
 
 _NUMBER = r"[+-]?\d+(?:\.\d+)?(?:/\d+)?"
 _TOKEN = re.compile(rf"({_NUMBER})|([{{}}|,.])|(\s+)")
@@ -99,6 +106,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, SourceSpan]:
         if self.pos >= len(self.tokens):
@@ -121,13 +129,19 @@ class _Parser:
     def parse_game(self) -> GameTerm:
         tok, span = self._peek()
         if tok == "{":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"braces nest deeper than {MAX_NESTING}", span
+                )
             self.pos += 1
+            self.depth += 1
             left = self.parse_options()
             self._expect("|")
             score = self.parse_score_token()
             self._expect("|")
             right = self.parse_options()
             self._expect("}")
+            self.depth -= 1
             return game(left, score, right)
         if _NUMBER_RE.fullmatch(tok):
             self.pos += 1

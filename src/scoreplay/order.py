@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import GameTerm, Score, as_score, equivalent, game, leaf, render, _score_key
-from .score import OutcomeSet, set_holds
+from .score import _SET_TESTS, OutcomeSet, outcome_from_scores, set_holds
 from .sums import SumEvaluator, is_numeric
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "universe_size",
     "enumerate_universe",
     "universe",
+    "ContextTable",
     "SoundRule",
     "Proved",
     "Refuted",
@@ -92,13 +93,81 @@ def universe_size(spec: UniverseSpec) -> int:
     return n
 
 
-_universe_cache: dict[UniverseSpec, tuple[GameTerm, ...]] = {}
+class ContextTable:
+    """Dense, children-first index of the downward closure of some contexts.
+
+    ``games[i]`` is the term with id ``i``; every option of it has a
+    smaller id.  ``scores[i]`` is its root score, ``left[i]`` and
+    ``right[i]`` its options as id tuples, and ``final_left[i]`` and
+    ``final_right[i]`` its final scores played alone.  ``contexts`` is
+    the caller's sequence and ``order[p]`` the id of ``contexts[p]``.
+
+    A universe is closed under taking options and sorted by node count,
+    so its table ids are exactly its positions.
+    """
+
+    __slots__ = (
+        "contexts", "order", "games", "scores", "left", "right",
+        "final_left", "final_right",
+    )
+
+    def __init__(self, contexts: Iterable[GameTerm]) -> None:
+        self.contexts = tuple(contexts)
+        index: dict[GameTerm, int] = {}
+        self.games: list[GameTerm] = []
+        self.scores: list[Score] = []
+        self.left: list[tuple[int, ...]] = []
+        self.right: list[tuple[int, ...]] = []
+        self.final_left: list[Score] = []
+        self.final_right: list[Score] = []
+        for x in self.contexts:
+            stack = [x]
+            while stack:  # iterative post-order: deep contexts are fine
+                t = stack[-1]
+                if t in index:
+                    stack.pop()
+                    continue
+                pending = [o for o in t.left + t.right if o not in index]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                stack.pop()
+                index[t] = len(self.games)
+                self._append(t, index)
+        self.order = [index[x] for x in self.contexts]
+
+    def _append(self, t: GameTerm, index: dict[GameTerm, int]) -> None:
+        lt = tuple(index[o] for o in t.left)
+        rt = tuple(index[o] for o in t.right)
+        self.games.append(t)
+        self.scores.append(t.score)
+        self.left.append(lt)
+        self.right.append(rt)
+        fl, fr = self.final_left, self.final_right
+        fl.append(max(fr[j] for j in lt) if lt else t.score)
+        fr.append(min(fl[j] for j in rt) if rt else t.score)
+
+    def __len__(self) -> int:
+        return len(self.games)
+
+
+class _Universe:
+    """A registry entry: the enumerated games and, once searched, their table."""
+
+    __slots__ = ("games", "table")
+
+    def __init__(self, games: tuple[GameTerm, ...]) -> None:
+        self.games = games
+        self.table: Optional[ContextTable] = None
+
+
+_universe_cache: dict[UniverseSpec, _Universe] = {}
 
 
 def universe(spec: UniverseSpec) -> tuple[GameTerm, ...]:
     """The full universe as a tuple, sorted by term order (cached)."""
-    cached = _universe_cache.get(spec)
-    if cached is None:
+    entry = _universe_cache.get(spec)
+    if entry is None:
         size = universe_size(spec)
         if size > UNIVERSE_SIZE_LIMIT:
             raise ValueError(
@@ -116,14 +185,25 @@ def universe(spec: UniverseSpec) -> tuple[GameTerm, ...]:
                 for s in spec.scores
                 for rt in option_sets
             ]
-        cached = tuple(sorted(pool, key=lambda t: t.okey))
-        _universe_cache[spec] = cached
-    return cached
+        entry = _Universe(tuple(sorted(pool, key=lambda t: t.okey)))
+        _universe_cache[spec] = entry
+    return entry.games
 
 
 def enumerate_universe(spec: UniverseSpec) -> Iterator[GameTerm]:
-    """Stream the universe in deterministic term order, no duplicates."""
+    """Yield the cached universe tuple's games in term order, no duplicates."""
     yield from universe(spec)
+
+
+def _registered_table(contexts: Iterable[GameTerm]) -> Optional[ContextTable]:
+    # The table of a universe tuple is built by its first search, not by
+    # universe(), so enumerating stays as cheap as before.
+    for entry in _universe_cache.values():
+        if entry.games is contexts:
+            if entry.table is None:
+                entry.table = ContextTable(entry.games)
+            return entry.table
+    return None
 
 
 class SoundRule(Enum):
@@ -210,18 +290,153 @@ def le_refutation_at(
     return None
 
 
+#: Columns computed by a search's first row extension; each later one
+#: doubles the extended length, so an early refutation stays cheap.
+_FIRST_CHUNK = 8
+
+_Rows = tuple[list[Score], list[Score]]
+
+
+def _extend_rows(
+    g: GameTerm, table: ContextTable, rows: dict[GameTerm, _Rows], n: int
+) -> _Rows:
+    """Extend the score rows of g, and of every subterm of g, to n columns.
+
+    ``rows[u] = (SL, SR)`` holds the final scores of u + x_i for the
+    first columns i of the table.  Column i of u reads the rows of u's
+    options at column i and u's own row at the ids of x_i's options,
+    which are earlier columns: the same max/min as SumEvaluator, on the
+    same exact values.  Subterms are visited in an explicit post-order,
+    so the depth of g costs no Python recursion.
+
+    A number a has no options, so the moves of a + X are exactly the
+    moves of X with a carried along, and every position ends with a's
+    score added; by induction on X, a + X plays as X does with each
+    final score shifted by a.  Its row is the table's final-score row
+    plus a.
+    """
+    stack = [g]
+    while stack:
+        u = stack[-1]
+        row = rows.get(u)
+        done = len(row[0]) if row is not None else 0
+        if done >= n:
+            stack.pop()
+            continue
+        short = [
+            o for o in u.left + u.right
+            if o not in rows or len(rows[o][0]) < n
+        ]
+        if short:
+            stack.extend(short)
+            continue
+        stack.pop()
+        if row is None:
+            row = rows[u] = ([], [])
+        sl, sr = row
+        a = u.score
+        if not u.left and not u.right:
+            sl.extend([v + a for v in table.final_left[done:n]])
+            sr.extend([v + a for v in table.final_right[done:n]])
+            continue
+        # Where x_i has no option for a side, the column is decided by u's
+        # own options there, or ends at once with score a + score(x_i).
+        ends = [a + v for v in table.scores[done:n]]
+        has_l, has_r = bool(u.left), bool(u.right)
+        ul = _best([rows[o][1][done:n] for o in u.left], max) if has_l else ends
+        ur = _best([rows[o][0][done:n] for o in u.right], min) if has_r else ends
+        sl_at, sr_at = sl.__getitem__, sr.__getitem__
+        for xl, xr, bl, br in zip(
+            table.left[done:n], table.right[done:n], ul, ur
+        ):
+            if xl:
+                v = max(map(sr_at, xl))
+                if has_l and bl > v:
+                    v = bl
+                sl.append(v)
+            else:
+                sl.append(bl)
+            if xr:
+                v = min(map(sl_at, xr))
+                if has_r and br < v:
+                    v = br
+                sr.append(v)
+            else:
+                sr.append(br)
+    return rows[g]
+
+
+def _best(columns: list[list[Score]], pick) -> list[Score]:
+    """The column-wise max or min of one or more option rows."""
+    if len(columns) == 1:
+        return columns[0]
+    return list(map(pick, *columns))
+
+
+def _set_test(sets: tuple[OutcomeSet, ...]):
+    """Test for the first set in ``sets`` holding h+x but not g+x."""
+    checks = tuple((o, _SET_TESTS[o]) for o in sets)
+
+    def test(slg: Score, srg: Score, slh: Score, srh: Score):
+        for o, holds in checks:
+            if holds(slh, srh) and not holds(slg, srg):
+                return o
+        return None
+
+    return test
+
+
+def _outcome_test(slg: Score, srg: Score, slh: Score, srh: Score):
+    if outcome_from_scores(slg, srg) is not outcome_from_scores(slh, srh):
+        return True
+    return None
+
+
+_GE_TEST = _set_test(UP_SETS)
+_LE_TEST = _set_test(DOWN_SETS)
+
+
+def _first_refutation(
+    g: GameTerm,
+    h: GameTerm,
+    contexts: Iterable[GameTerm],
+    ev: Optional[SumEvaluator],
+    test,
+):
+    """First context, in the caller's order, where test(g+x, h+x) hits.
+
+    Returns (x, hit) or None.  The scores come from rows over a context
+    table: the registered table of a universe tuple with rows kept in ev,
+    or a throwaway table (and rows) for any other iterable.
+    """
+    table = _registered_table(contexts)
+    if table is None:
+        table = ContextTable(contexts)
+        rows: dict[GameTerm, _Rows] = {}
+    else:
+        rows = ev.context_rows(table) if ev is not None else {}
+    size = len(table)
+    done = 0
+    for p, i in enumerate(table.order):
+        if i >= done:
+            target = min(size, max(i + 1, 2 * done, _FIRST_CHUNK))
+            slg, srg = _extend_rows(g, table, rows, target)
+            slh, srh = _extend_rows(h, table, rows, target)
+            done = min(len(slg), len(slh))
+        hit = test(slg[i], srg[i], slh[i], srh[i])
+        if hit is not None:
+            return table.contexts[p], hit
+    return None
+
+
 def find_ge_refutation(
     g: GameTerm,
     h: GameTerm,
     contexts: Iterable[GameTerm],
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[tuple[GameTerm, OutcomeSet]]:
-    ev = ev or SumEvaluator()
-    for x in contexts:
-        o = ge_refutation_at(g, h, x, ev)
-        if o is not None:
-            return x, o
-    return None
+    """First context x and up-set O with h+x in O but g+x not, if any."""
+    return _first_refutation(g, h, contexts, ev, _GE_TEST)
 
 
 def find_le_refutation(
@@ -230,12 +445,8 @@ def find_le_refutation(
     contexts: Iterable[GameTerm],
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[tuple[GameTerm, OutcomeSet]]:
-    ev = ev or SumEvaluator()
-    for x in contexts:
-        o = le_refutation_at(g, h, x, ev)
-        if o is not None:
-            return x, o
-    return None
+    """First context x and down-set O with h+x in O but g+x not, if any."""
+    return _first_refutation(g, h, contexts, ev, _LE_TEST)
 
 
 def find_eq_refutation(
@@ -244,11 +455,9 @@ def find_eq_refutation(
     contexts: Iterable[GameTerm],
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[GameTerm]:
-    ev = ev or SumEvaluator()
-    for x in contexts:
-        if ev.outcome(g, x) is not ev.outcome(h, x):
-            return x
-    return None
+    """First context x where g+x and h+x have different outcomes, if any."""
+    hit = _first_refutation(g, h, contexts, ev, _outcome_test)
+    return hit[0] if hit is not None else None
 
 
 def greater_equal(
@@ -261,7 +470,8 @@ def greater_equal(
 
     Refuted means some enumerated context x and up-set O have h+x in O but
     g+x outside it; the witness is minimal in term order and the verdict
-    carries both for auditing.
+    carries both for auditing.  The score rows the search computes are
+    kept in ``evaluator`` for later searches that pass the same one.
     """
     sound = _sound_ge(g, h)
     if sound is not None:

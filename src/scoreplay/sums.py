@@ -104,10 +104,19 @@ class SumEvaluator:
     Evaluates SL/SR of g+h by recursing on component pairs, so bounded
     searches over many contexts never materialize sum terms.  The memo is
     keyed on term identity; results equal those of evaluating add(g, h).
+
+    An evaluator is also the memory scope of order searches: the score
+    rows they compute over a context table (see ``order.ContextTable``)
+    are kept here, per table and game, and live as long as it does.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple[GameTerm, GameTerm], tuple[Score, Score]] = {}
+        self._rows: dict[object, dict] = {}
+
+    def context_rows(self, table: object) -> dict:
+        """The (SL, SR) score rows kept for ``table``, keyed by game."""
+        return self._rows.setdefault(table, {})
 
     def final_scores(self, g: GameTerm, h: GameTerm) -> tuple[Score, Score]:
         memo = self._memo

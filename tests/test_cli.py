@@ -42,6 +42,37 @@ class TestEval:
         assert code == 2
 
 
+def _nested(depth: int) -> str:
+    """A term whose braces nest ``depth`` deep: {{...{1|0|.}...|0|.}|0|.}."""
+    return "{" * depth + "1" + "|0|.}" * depth
+
+
+class TestDeepInput:
+    def test_too_deep_term_exits_2(self, capsys):
+        code, out = run_cli("eval", _nested(600))
+        assert code == 2
+        assert out == ""
+        assert "nest deeper than" in capsys.readouterr().err
+
+    def test_deepest_accepted_term_evaluates(self):
+        from scoreplay.notation import MAX_NESTING
+
+        code, out = run_cli("eval", _nested(MAX_NESTING))
+        assert code == 0
+        assert out.startswith("term={{") and " outcome=" in out
+        assert run_cli("eval", _nested(MAX_NESTING + 1))[0] == 2
+
+    def test_cmp_on_deepest_accepted_term_completes(self):
+        from scoreplay.notation import MAX_NESTING
+
+        deep = _nested(MAX_NESTING)
+        for fmt in ("text", "jsonl"):
+            code, out = run_cli("cmp", deep, _nested(MAX_NESTING - 1),
+                                "--format", fmt)
+            assert code == 0
+            assert len(out.splitlines()) == 3
+
+
 class TestAlgebraCommands:
     def test_sum(self):
         code, out = run_cli("sum", "{1|0|.}", "{.|0|-1}")

@@ -88,6 +88,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("0 {1|0|.}")
 
+    def test_nesting_limit_is_a_parse_error(self):
+        from scoreplay.notation import MAX_NESTING
+
+        n = MAX_NESTING
+        assert parse("{" * n + "1" + "|0|.}" * n).depth == n
+        # the limit counts open braces, not the total number of them
+        siblings = ",".join(f"{{{{{k}|0|.}}|0|.}}" for k in range(n + 1))
+        assert parse("{" + siblings + "|0|.}").depth == 3
+        with pytest.raises(ParseError) as exc:
+            parse("{" * (n + 1) + "1" + "|0|.}" * (n + 1))
+        assert exc.value.span.start == n
+
     def test_duplicate_options_warn_and_collapse(self):
         with pytest.warns(DuplicateOptionWarning):
             g = parse("{1,1|0|.}")

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from scoreplay import (
@@ -13,19 +16,33 @@ from scoreplay import (
     duality_check,
     enumerate_universe,
     equal,
+    final_scores,
     greater_equal,
     leaf,
     less_equal,
     outcome,
     parse,
     render,
+    shift,
     term_order_key,
     universe,
     universe_size,
     zero,
 )
-from scoreplay.order import find_eq_refutation, find_ge_refutation
+from scoreplay.order import (
+    ContextTable,
+    _extend_rows,
+    _registered_table,
+    find_eq_refutation,
+    find_ge_refutation,
+    find_le_refutation,
+    ge_refutation_at,
+    le_refutation_at,
+)
+from scoreplay.score import set_holds
+from scoreplay.verify import sample_confluence_games
 
+import oracles
 from conftest import SMALL, TINY
 
 
@@ -220,3 +237,148 @@ class TestPartialOrderProbes:
             if checked >= 12:
                 break
         assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# the context-table kernel against the scalar per-context scan
+# ---------------------------------------------------------------------------
+
+def _scalar_first_hits(g, h, contexts):
+    """First hit of each search, one context at a time, fresh evaluator."""
+    ev = SumEvaluator()
+    ge = le = eq = None
+    for x in contexts:
+        if ge is None:
+            o = ge_refutation_at(g, h, x, ev)
+            if o is not None:
+                ge = (x, o)
+        if le is None:
+            o = le_refutation_at(g, h, x, ev)
+            if o is not None:
+                le = (x, o)
+        if eq is None and ev.outcome(g, x) is not ev.outcome(h, x):
+            eq = x
+    return ge, le, eq
+
+
+def _kernel_first_hits(g, h, make_contexts, ev):
+    return (
+        find_ge_refutation(g, h, make_contexts(), ev),
+        find_le_refutation(g, h, make_contexts(), ev),
+        find_eq_refutation(g, h, make_contexts(), ev),
+    )
+
+
+def _oracle_scores(*terms):
+    comps = tuple(oracles.raw(t) for t in terms)
+    return oracles.play_left(comps), oracles.play_right(comps)
+
+
+def _check_witnesses(g, h, hits):
+    """Re-check Refuted witnesses with the independent oracle."""
+    ge, le, eq = hits
+    for hit in (ge, le):
+        if hit is not None:
+            x, o = hit
+            assert set_holds(o, *_oracle_scores(h, x))
+            assert not set_holds(o, *_oracle_scores(g, x))
+    if eq is not None:
+        assert oracles.outcome_name(*_oracle_scores(g, eq)) != (
+            oracles.outcome_name(*_oracle_scores(h, eq))
+        )
+
+
+def _fraction_games():
+    return [shift(g, Fraction(1, 2)) for g in universe(TINY)] + list(
+        universe(UniverseSpec(1, 1, (Fraction(-3, 2), 0, Fraction(1, 3))))
+    )
+
+
+def _deep_games():
+    return sample_confluence_games(40, seed=7)
+
+
+class TestContextKernel:
+    @pytest.mark.parametrize("source", ["tiny", "default", "deep", "fraction"])
+    def test_first_hits_match_scalar_scan(self, source, tiny_universe,
+                                          default_universe):
+        pools = {
+            "tiny": (tiny_universe, tiny_universe),
+            "default": (default_universe, default_universe),
+            "deep": (_deep_games(), tiny_universe),
+            "fraction": (_fraction_games(), tiny_universe),
+        }
+        games, contexts = pools[source]
+        rng = random.Random(source)
+        ev = SumEvaluator()  # shared: rows carry over between searches
+        for _ in range(12):
+            g, h = rng.choice(games), rng.choice(games)
+            expected = _scalar_first_hits(g, h, contexts)
+            assert _kernel_first_hits(g, h, lambda: contexts, ev) == expected
+            assert _kernel_first_hits(g, h, lambda: contexts, None) == expected
+            assert _kernel_first_hits(
+                g, h, lambda: list(contexts), ev) == expected
+            assert _kernel_first_hits(
+                g, h, lambda: (x for x in contexts), ev) == expected
+            _check_witnesses(g, h, expected)
+
+    def test_one_element_and_unordered_lists(self, tiny_universe):
+        rng = random.Random(4)
+        deep = _deep_games()
+        # deep contexts whose subterms are not in the list, duplicates,
+        # and an order that is not children-first
+        mixed = rng.sample(deep, 10) + rng.sample(list(tiny_universe), 10)
+        mixed += mixed[:3]
+        rng.shuffle(mixed)
+        ev = SumEvaluator()
+        for _ in range(10):
+            g, h = rng.choice(deep), rng.choice(list(tiny_universe))
+            for x in mixed[:6]:
+                expected = _scalar_first_hits(g, h, [x])
+                assert _kernel_first_hits(g, h, lambda: [x], ev) == expected
+            expected = _scalar_first_hits(g, h, mixed)
+            assert _kernel_first_hits(g, h, lambda: mixed, ev) == expected
+            _check_witnesses(g, h, expected)
+
+    def test_empty_contexts_never_refute(self):
+        g, h = leaf(0), leaf(1)
+        assert _kernel_first_hits(g, h, lambda: [], None) == (None, None, None)
+
+    def test_rows_equal_pairwise_evaluator(self, small_universe):
+        table = ContextTable(small_universe)
+        assert table.order == list(range(len(small_universe)))
+        ev = SumEvaluator()
+        for g in _deep_games()[:8] + _fraction_games()[::9]:
+            sl, sr = _extend_rows(g, table, {}, len(table))
+            assert list(zip(sl, sr)) == [
+                ev.final_scores(g, x) for x in table.games
+            ]
+
+    def test_shifted_row_law_for_numbers(self, small_universe):
+        table = ContextTable(_deep_games()[:10] + list(small_universe[::7]))
+        ev = SumEvaluator()
+        for a in (0, 3, -2, Fraction(1, 2)):
+            rows = {}
+            sl, sr = _extend_rows(leaf(a), table, rows, len(table))
+            for i, x in enumerate(table.games):
+                fl, fr = final_scores(x)
+                assert (sl[i], sr[i]) == (fl + a, fr + a)
+                assert (sl[i], sr[i]) == ev.final_scores(leaf(a), x)
+
+    def test_rows_extend_lazily_and_live_in_the_evaluator(self,
+                                                          default_universe):
+        table = _registered_table(default_universe)
+        assert _registered_table(default_universe) is table
+        assert _registered_table(list(default_universe)) is None
+        ev = SumEvaluator()
+        # refuted by the zero context: only the first chunk is computed
+        assert greater_equal(leaf(0), leaf(1), DEFAULT_UNIVERSE, ev) == (
+            Refuted(zero(), OutcomeSet.L_GT)
+        )
+        rows = ev.context_rows(table)
+        assert 0 < len(rows[leaf(0)][0]) < len(table)
+        g, h = parse("{2|0|.}"), parse("{1|0|.}")
+        assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
+        assert len(rows[g][0]) == len(rows[h][0]) == len(table)
+        # another evaluator starts with no rows of its own
+        assert SumEvaluator().context_rows(table) == {}

@@ -38,6 +38,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+#: Largest term, in tree nodes, that a command prints.  Sums share their
+#: subterms, so a term that is small in memory can print as a tree of
+#: exponential size; above this it is a usage error instead.
+MAX_PRINT_NODES = 2_000_000
+
 
 class CliError(Exception):
     """Bad input or configuration; maps to exit code 2."""
@@ -55,8 +60,10 @@ class RunConfig:
         return self.mode is Mode.CONJECTURAL
 
 
-def _env_default(name: str, fallback: str) -> str:
-    return os.environ.get(name, fallback)
+def _flag_or_env(value, name: str, fallback):
+    # Read at each call, not when the parser is built, so one parser
+    # serves every call while the environment may change between them.
+    return value if value is not None else os.environ.get(name, str(fallback))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,22 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact engine for scoring-play combinatorial games.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--depth", type=int,
-        default=int(_env_default("SCOREPLAY_DEPTH", str(DEFAULT_UNIVERSE.max_depth))),
-        help="max depth of context universe games",
-    )
-    common.add_argument(
-        "--width", type=int,
-        default=int(_env_default("SCOREPLAY_WIDTH", str(DEFAULT_UNIVERSE.max_width))),
-        help="max option-set size of context universe games",
-    )
+    # Unset universe flags stay None; _config falls back to the
+    # SCOREPLAY_* environment variables and then to DEFAULT_UNIVERSE.
+    common.add_argument("--depth", type=int,
+                        help="max depth of context universe games")
+    common.add_argument("--width", type=int,
+                        help="max option-set size of context universe games")
     common.add_argument(
         "--scores",
-        default=_env_default(
-            "SCOREPLAY_SCORES",
-            ",".join(str(s) for s in DEFAULT_UNIVERSE.scores),
-        ),
         help="comma-separated rational scores of the context universe",
     )
     common.add_argument(
@@ -131,14 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    d = DEFAULT_UNIVERSE
     try:
-        scores = tuple(parse_score(s) for s in args.scores.split(","))
+        depth = int(_flag_or_env(args.depth, "SCOREPLAY_DEPTH", d.max_depth))
+        width = int(_flag_or_env(args.width, "SCOREPLAY_WIDTH", d.max_width))
+    except ValueError:
+        raise CliError("SCOREPLAY_DEPTH and SCOREPLAY_WIDTH must be integers") from None
+    scores_text = _flag_or_env(
+        args.scores, "SCOREPLAY_SCORES", ",".join(str(s) for s in d.scores)
+    )
+    try:
+        scores = tuple(parse_score(s) for s in scores_text.split(","))
     except ParseError as exc:
         raise CliError(f"bad --scores: {exc}") from None
-    if args.depth < 0 or args.width < 0:
+    if depth < 0 or width < 0:
         raise CliError("--depth and --width must be >= 0")
     try:
-        spec = UniverseSpec(args.depth, args.width, scores)
+        spec = UniverseSpec(depth, width, scores)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if universe_size(spec) > UNIVERSE_SIZE_LIMIT:
@@ -175,15 +183,25 @@ def _parse_expr(text: str) -> GameTerm:
         raise CliError(f"cannot parse {text!r}: {exc}") from None
 
 
-def _emit_eval(g: GameTerm, out: _Output) -> None:
+def _render(g: GameTerm) -> str:
+    if g.node_count > MAX_PRINT_NODES:
+        raise CliError(
+            f"term has {g.node_count} nodes; refusing to print more "
+            f"than {MAX_PRINT_NODES}"
+        )
+    return render(g)
+
+
+def _emit_eval(g: GameTerm, out: _Output, term: Optional[str] = None) -> None:
+    term = _render(g) if term is None else term
     sl, sr = final_scores(g)
     lset, rset = base_sets(g)
     out.text(
-        f"term={render(g)} sl={sl} sr={sr} outcome={outcome(g).value} "
+        f"term={term} sl={sl} sr={sr} outcome={outcome(g).value} "
         f"left_set={lset.value} right_set={rset.value}"
     )
     out.record(
-        term=render(g), sl=str(sl), sr=str(sr), outcome=outcome(g).value,
+        term=term, sl=str(sl), sr=str(sr), outcome=outcome(g).value,
         left_set=lset.value, right_set=rset.value,
     )
 
@@ -200,9 +218,9 @@ def cmd_sum(args, config: RunConfig, out: _Output) -> int:
 
 
 def cmd_neg(args, config: RunConfig, out: _Output) -> int:
-    n = negate(_parse_expr(args.expr))
-    out.text(f"term={render(n)}")
-    out.record(term=render(n))
+    term = _render(negate(_parse_expr(args.expr)))
+    out.text(f"term={term}")
+    out.record(term=term)
     return EXIT_OK
 
 
@@ -232,21 +250,21 @@ def cmd_canon(args, config: RunConfig, out: _Output) -> int:
     reduced, trace = canonicalize(
         g, config.spec, config.mode, order_seed=args.seed or None
     )
-    out.text(f"canonical {render(reduced)}")
+    out.text(f"canonical {_render(reduced)}")
     for i, step in enumerate(trace.steps, start=1):
         out.text(
             f"step {i} {step.kind.value} side={step.side.value} "
-            f"removed={render(step.removed)} witness={render(step.witness)} "
+            f"removed={_render(step.removed)} witness={_render(step.witness)} "
             f"justification={step.justification}"
         )
     out.record(
-        term=render(g), canonical=render(reduced),
+        term=_render(g), canonical=_render(reduced),
         steps=[
             {
                 "kind": s.kind.value,
                 "side": s.side.value,
-                "removed": render(s.removed),
-                "witness": render(s.witness),
+                "removed": _render(s.removed),
+                "witness": _render(s.witness),
                 "verdict": str(s.justification),
             }
             for s in trace.steps
@@ -268,19 +286,16 @@ def cmd_tf(args, config: RunConfig, out: _Output) -> int:
     except TfError as exc:
         raise CliError(str(exc)) from None
     g = tf_to_game(pos)
+    term = _render(g)
     out.text(f"position {pos.text()}")
-    out.record(position=pos.text(), term=render(g))
-    _emit_eval(g, out)
+    out.record(position=pos.text(), term=term)
+    _emit_eval(g, out, term)
     return EXIT_OK
 
 
 def cmd_verify(args, config: RunConfig, out: _Output) -> int:
-    if args.suite == "outcome-template" and args.grid != 3:
-        from .verify import verify_outcome_template
-
-        result = verify_outcome_template(bound=args.grid)
-    else:
-        result = run_suite(args.suite, config.spec, seed=args.seed)
+    grid = {"bound": args.grid} if args.suite == "outcome-template" else {}
+    result = run_suite(args.suite, config.spec, seed=args.seed, **grid)
     for check in result.checks:
         status = "ok" if check.passed else "FAIL"
         out.text(f"{status} {result.suite}.{check.name} {check.details}")
@@ -305,11 +320,16 @@ _COMMANDS = {
 }
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None, out=None) -> int:
+    global _parser
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    if _parser is None:  # built on first use, so importing stays cheap
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -208,7 +208,17 @@ def to_structured(g: GameTerm) -> dict[str, Any]:
 
 
 def from_structured(record: Any) -> GameTerm:
-    """Inverse of to_structured; raises RecordError on malformed input."""
+    """Inverse of to_structured; raises RecordError on malformed input.
+
+    Option records may nest at most ``MAX_NESTING`` deep, the bound
+    parse() puts on braces.
+    """
+    return _from_record(record, 0)
+
+
+def _from_record(record: Any, depth: int) -> GameTerm:
+    if depth > MAX_NESTING:
+        raise RecordError(f"records nest deeper than {MAX_NESTING}")
     if not isinstance(record, dict):
         raise RecordError(f"record must be a mapping, got {type(record).__name__}")
     unknown = set(record) - _RECORD_FIELDS
@@ -231,7 +241,7 @@ def from_structured(record: Any) -> GameTerm:
         if not isinstance(record[side], list):
             raise RecordError(f"{side} must be a list")
     return game(
-        (from_structured(r) for r in record["left"]),
+        (_from_record(r, depth + 1) for r in record["left"]),
         score,
-        (from_structured(r) for r in record["right"]),
+        (_from_record(r, depth + 1) for r in record["right"]),
     )

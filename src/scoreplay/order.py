@@ -396,6 +396,20 @@ _GE_TEST = _set_test(UP_SETS)
 _LE_TEST = _set_test(DOWN_SETS)
 
 
+def _table_rows(
+    contexts: Iterable[GameTerm], ev: Optional[SumEvaluator]
+) -> tuple[ContextTable, dict[GameTerm, _Rows]]:
+    """The table to scan ``contexts`` on and the score rows to extend.
+
+    A universe tuple has its registered table, with rows kept in ev;
+    any other iterable gets a throwaway table and rows.
+    """
+    table = _registered_table(contexts)
+    if table is None:
+        return ContextTable(contexts), {}
+    return table, ev.context_rows(table) if ev is not None else {}
+
+
 def _first_refutation(
     g: GameTerm,
     h: GameTerm,
@@ -405,16 +419,10 @@ def _first_refutation(
 ):
     """First context, in the caller's order, where test(g+x, h+x) hits.
 
-    Returns (x, hit) or None.  The scores come from rows over a context
-    table: the registered table of a universe tuple with rows kept in ev,
-    or a throwaway table (and rows) for any other iterable.
+    Returns (x, hit) or None.  The scores come from rows over the
+    context table of ``_table_rows``, extended only as far as the scan.
     """
-    table = _registered_table(contexts)
-    if table is None:
-        table = ContextTable(contexts)
-        rows: dict[GameTerm, _Rows] = {}
-    else:
-        rows = ev.context_rows(table) if ev is not None else {}
+    table, rows = _table_rows(contexts, ev)
     size = len(table)
     done = 0
     for p, i in enumerate(table.order):
@@ -427,6 +435,20 @@ def _first_refutation(
         if hit is not None:
             return table.contexts[p], hit
     return None
+
+
+def _refutation_flags(
+    g: GameTerm,
+    h: GameTerm,
+    contexts: Iterable[GameTerm],
+    ev: Optional[SumEvaluator],
+    test,
+) -> list[bool]:
+    """Whether test(g+x, h+x) hits, for every context x in the caller's order."""
+    table, rows = _table_rows(contexts, ev)
+    slg, srg = _extend_rows(g, table, rows, len(table))
+    slh, srh = _extend_rows(h, table, rows, len(table))
+    return [test(slg[i], srg[i], slh[i], srh[i]) is not None for i in table.order]
 
 
 def find_ge_refutation(
@@ -525,12 +547,10 @@ def duality_check(
 
     Since every up-set is the complement of a down-set, the two searches
     must flag the same contexts; this executes that theorem on the
-    enumerated universe.
+    enumerated universe, column by column on the score rows of g and h.
     """
+    contexts = universe(spec)
     ev = evaluator or SumEvaluator()
-    for x in universe(spec):
-        ge_hit = ge_refutation_at(g, h, x, ev) is not None
-        le_hit = le_refutation_at(h, g, x, ev) is not None
-        if ge_hit != le_hit:
-            return False
-    return True
+    return _refutation_flags(g, h, contexts, ev, _GE_TEST) == _refutation_flags(
+        h, g, contexts, ev, _LE_TEST
+    )

@@ -8,18 +8,21 @@ repeated runs produce identical reports.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import ne
+from typing import Callable, Optional, Sequence
 
 from .canonical import Mode, canonicalize, reduce_step
 from .core import GameTerm, equivalent, game, identical, leaf, negate
 from .order import (
+    ContextTable,
     UniverseSpec,
+    _extend_rows,
+    duality_check,
     find_eq_refutation,
     find_ge_refutation,
-    ge_refutation_at,
-    le_refutation_at,
     universe,
 )
 from .score import (
@@ -40,6 +43,7 @@ __all__ = [
     "SuiteResult",
     "TemplateSweep",
     "outcome_template_sweep",
+    "Suite",
     "SUITES",
     "run_suite",
     "sample_confluence_games",
@@ -146,14 +150,7 @@ def verify_duality(
     rng = random.Random(seed)
     pairs = _sample_pairs(games, max_pairs, rng)
     ev = SumEvaluator()
-    violations = 0
-    for g, h in pairs:
-        for x in games:
-            if (ge_refutation_at(g, h, x, ev) is None) != (
-                le_refutation_at(h, g, x, ev) is None
-            ):
-                violations += 1
-                break
+    violations = sum(1 for g, h in pairs if not duality_check(g, h, spec, ev))
     exhaustive = len(pairs) == len(games) ** 2
     res.add(
         "refutations-mirror", violations == 0,
@@ -261,50 +258,75 @@ def outcome_template_sweep(bound: int = 3) -> TemplateSweep:
     forces g <= -1, hence e >= 2, h <= -3, d >= 4).  ``family_triples``
     also admits the swapped assignment and pairs of two H-shaped games,
     which the theorem's statement allows, and does reach all 125.
+
+    The H-shaped games form one context table, so the score row of a G
+    (see ``order._extend_rows``) holds the final scores of G+H for every
+    H at once.  Gs are visited subterm by subterm: the rows of {d|c|e}
+    and {{d|c|e}|b|.} serve every G built on them and are dropped with
+    their last one, so memory stays bounded by a few rows.
     """
     vals = list(range(-bound, bound + 1))
-
-    g_pool = []
-    for a in vals:
-        for b in vals:
-            for c in vals:
-                for d in vals:
-                    for e in vals:
-                        G, _ = outcome_template(a, b, c, d, e, 0, 0, 0)
-                        g_pool.append((G, outcome(G).value, d, e))
-    h_pool = []
+    h_pool, h_g, h_h = [], [], []
     for f in vals:
         for gg in vals:
             for h in vals:
-                _, H = outcome_template(0, 0, 0, 0, 0, f, gg, h)
-                h_pool.append((H, outcome(H).value, gg, h))
+                h_pool.append(outcome_template(0, 0, 0, 0, 0, f, gg, h)[1])
+                h_g.append(gg)
+                h_h.append(h)
+    h_outcomes = [outcome(H).value for H in h_pool]
+    plus_g = {v: [v + gg for gg in h_g] for v in vals}
+    plus_h = {v: [v + h for h in h_h] for v in vals}
+    table = ContextTable(h_pool)
+    rows: dict[GameTerm, tuple[list, list]] = {}
 
-    fixed: set[tuple[str, str, str]] = set()
-    swapped: set[tuple[str, str, str]] = set()
+    def sum_scores(g: GameTerm) -> tuple[list, list]:
+        # SL and SR of g+H for each H of h_pool, in pool order.
+        sl, sr = _extend_rows(g, table, rows, len(table))
+        del rows[g]
+        return (list(map(sl.__getitem__, table.order)),
+                list(map(sr.__getitem__, table.order)))
+
+    # Per outcome of the first summand, the distinct (outcome of the
+    # second summand, SL, SR) of the sums; each is classified once below.
+    g_sums: dict[str, set] = {}
+    h_sums: dict[str, set] = {}
     sr_bad = sl_bad = 0
     points = 0
-    for H, oh, gg, h in h_pool:
-        ev = SumEvaluator()
-        fs = ev.final_scores
-        for G, og, d, e in g_pool:
-            sl, sr = fs(G, H)
-            points += 1
-            if sr != e + h:
-                sr_bad += 1
-            if sl != e + gg and sl != d + h:
-                sl_bad += 1
-            osum = outcome_from_scores(sl, sr).value
-            fixed.add((og, oh, osum))
-            swapped.add((oh, og, osum))
+    for c in vals:
+        for d in vals:
+            for e in vals:
+                inner = game([leaf(d)], c, [leaf(e)])
+                for b in vals:
+                    mid = game([inner], b, [])
+                    for a in vals:
+                        G = game([mid], a, [])
+                        sls, srs = sum_scores(G)
+                        points += len(sls)
+                        sr_bad += sum(map(ne, srs, plus_h[e]))
+                        sl_bad += sum(
+                            1 for sl, eg, dh in zip(sls, plus_g[e], plus_h[d])
+                            if sl != eg and sl != dh
+                        )
+                        g_sums.setdefault(outcome(G).value, set()).update(
+                            zip(h_outcomes, sls, srs)
+                        )
+                    del rows[mid]
+                del rows[inner]
+    for o1, H1 in zip(h_outcomes, h_pool):
+        h_sums.setdefault(o1, set()).update(zip(h_outcomes, *sum_scores(H1)))
 
-    family = fixed | swapped
-    ev = SumEvaluator()
-    for H1, o1, _, _ in h_pool:
-        for H2, o2, _, _ in h_pool:
-            family.add(
-                (o1, o2, outcome_from_scores(*ev.final_scores(H1, H2)).value)
-            )
+    fixed = _triples(g_sums)
+    swapped = {(o2, o1, o) for o1, o2, o in fixed}
+    family = fixed | swapped | _triples(h_sums)
     return TemplateSweep(bound, points, fixed, family, sr_bad, sl_bad)
+
+
+def _triples(sums: dict[str, set]) -> set[tuple[str, str, str]]:
+    return {
+        (o1, o2, outcome_from_scores(sl, sr).value)
+        for o1, seen in sums.items()
+        for o2, sl, sr in seen
+    }
 
 
 def verify_outcome_template(bound: int = 3) -> SuiteResult:
@@ -394,10 +416,8 @@ def verify_reduction_safety(
             steps += 1
             if reduced.node_count >= node.node_count:
                 size_bad += 1
-            for x in contexts:
-                if ev.outcome(node, x) is not ev.outcome(reduced, x):
-                    outcome_bad += 1
-                    break
+            if find_eq_refutation(node, reduced, contexts, ev) is not None:
+                outcome_bad += 1
             node = reduced
     res.add("outcome-preserved", outcome_bad == 0,
             f"steps={steps} contexts={len(contexts)} violations={outcome_bad}")
@@ -542,34 +562,37 @@ def verify_cong_probe(spec: UniverseSpec) -> SuiteResult:
 # registry
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Suite:
+    """A registered suite: its function and the keyword defaults that
+    ``scoreplay verify`` runs it with.  The universe ``spec`` and the
+    sampling ``seed`` go only to functions that take them."""
+
+    run: Callable[..., SuiteResult]
+    defaults: dict = field(default_factory=dict)
+
+    def __call__(self, spec: UniverseSpec, seed: int = 0, **overrides) -> SuiteResult:
+        params = inspect.signature(self.run).parameters
+        given = {k: v for k, v in (("spec", spec), ("seed", seed)) if k in params}
+        return self.run(**{**given, **self.defaults, **overrides})
+
+
 SUITES = {
-    "partition": verify_partition,
-    "duality": verify_duality,
-    "partial-order": verify_partial_order,
-    "outcome-template": verify_outcome_template,
-    "identity": verify_identity,
-    "reduction-safety": verify_reduction_safety,
-    "confluence": verify_confluence,
-    "cong-probe": verify_cong_probe,
+    "partition": Suite(verify_partition),
+    "duality": Suite(verify_duality),
+    "partial-order": Suite(verify_partial_order),
+    "outcome-template": Suite(verify_outcome_template),
+    "identity": Suite(verify_identity),
+    "reduction-safety": Suite(verify_reduction_safety, {"max_games": 400}),
+    "confluence": Suite(verify_confluence, {"n_games": 300}),
+    "cong-probe": Suite(verify_cong_probe),
 }
 
 
-def run_suite(name: str, spec: UniverseSpec, seed: int = 0) -> SuiteResult:
-    """Run a named suite with CLI-friendly defaults."""
-    if name == "partition":
-        return verify_partition(spec)
-    if name == "duality":
-        return verify_duality(spec, seed=seed)
-    if name == "partial-order":
-        return verify_partial_order(spec, seed=seed)
-    if name == "outcome-template":
-        return verify_outcome_template()
-    if name == "identity":
-        return verify_identity(spec)
-    if name == "reduction-safety":
-        return verify_reduction_safety(spec, max_games=400, seed=seed)
-    if name == "confluence":
-        return verify_confluence(spec, n_games=300, seed=seed)
-    if name == "cong-probe":
-        return verify_cong_probe(spec)
-    raise ValueError(f"unknown suite {name!r}")
+def run_suite(
+    name: str, spec: UniverseSpec, seed: int = 0, **overrides
+) -> SuiteResult:
+    """Run a named suite with its registered defaults; keywords override them."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](spec, seed, **overrides)

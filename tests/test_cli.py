@@ -83,6 +83,21 @@ class TestAlgebraCommands:
         code, out = run_cli("neg", "{1|0|0}")
         assert out == "term={0|0|-1}\n"
 
+    def test_sum_too_large_to_print_exits_2(self):
+        # The sum of two 30-deep chains is small as a shared term but
+        # prints as a tree of about 2*10**16 nodes.
+        from scoreplay.cli import MAX_PRINT_NODES
+
+        chain = _nested(30)
+        done = subprocess.run(
+            [sys.executable, "-m", "scoreplay", "sum", chain, chain],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "nodes; refusing to print more than" in done.stderr
+        assert str(MAX_PRINT_NODES) in done.stderr
+
 
 class TestCmp:
     def test_equivalent_pair(self):
@@ -148,6 +163,13 @@ class TestTf:
         assert "position TBF" in out
         assert "term={{.|0|{-1|-1|.}}|0|{{.|1|1}|0|.}}" in out
 
+    def test_largest_printed_strip_is_under_the_print_limit(self):
+        from scoreplay import tf_parse, tf_to_game
+        from scoreplay.cli import MAX_PRINT_NODES
+
+        g = tf_to_game(tf_parse("TTBBBFF"))
+        assert 10**6 < g.node_count <= MAX_PRINT_NODES
+
     def test_bad_position(self):
         code, _ = run_cli("tf", "TXF")
         assert code == 2
@@ -200,6 +222,19 @@ class TestDeterminismAndConfig:
         _, out = run_cli("enum", "--depth", "0", "--width", "0",
                          "--scores", "0")
         assert out == "0\n"
+
+    def test_parser_is_built_once_and_env_is_read_per_call(self, monkeypatch):
+        import scoreplay.cli as cli_mod
+
+        run_cli("enum", "--depth", "0", "--width", "0", "--scores", "0")
+        parser = cli_mod._parser
+        monkeypatch.setenv("SCOREPLAY_DEPTH", "0")
+        monkeypatch.setenv("SCOREPLAY_WIDTH", "0")
+        monkeypatch.setenv("SCOREPLAY_SCORES", "2")
+        assert run_cli("enum") == (0, "2\n")
+        monkeypatch.setenv("SCOREPLAY_DEPTH", "deep")
+        assert run_cli("enum")[0] == 2
+        assert cli_mod._parser is parser
 
     def test_bad_scores_flag(self):
         code, _ = run_cli("enum", "--scores", "0,zebra")

@@ -177,3 +177,17 @@ class TestStructuredRecords:
     def test_non_mapping_rejected(self):
         with pytest.raises(RecordError):
             from_structured([1, 2])
+
+    def test_nesting_limit_is_a_record_error(self):
+        from scoreplay.notation import MAX_NESTING
+
+        def nested(depth):
+            rec = {"left": [], "score": "1", "right": []}
+            for _ in range(depth):
+                rec = {"left": [rec], "score": "0", "right": []}
+            return rec
+
+        assert from_structured(nested(MAX_NESTING)).depth == MAX_NESTING
+        for depth in (MAX_NESTING + 1, 1000):
+            with pytest.raises(RecordError, match="nest deeper"):
+                from_structured(nested(depth))

@@ -1,7 +1,10 @@
 import pytest
 
+from scoreplay import SumEvaluator, leaf, outcome, outcome_template, universe
+from scoreplay.score import outcome_from_scores
 from scoreplay.verify import (
     SUITES,
+    TemplateSweep,
     outcome_template_sweep,
     run_suite,
     sample_confluence_games,
@@ -78,7 +81,89 @@ def test_template_sweep_small_grid():
     assert sweep.fixed_triples <= sweep.family_triples
 
 
+def test_template_sweep_matches_scalar_evaluation():
+    # Every grid point again, through the scalar pair recursion.
+    vals = range(-1, 2)
+    gs = [
+        (outcome_template(a, b, c, d, e, 0, 0, 0)[0], d, e)
+        for a in vals for b in vals for c in vals for d in vals for e in vals
+    ]
+    hs = [
+        (outcome_template(0, 0, 0, 0, 0, f, g, h)[1], g, h)
+        for f in vals for g in vals for h in vals
+    ]
+    ev = SumEvaluator()
+    fixed, family = set(), set()
+    points = sr_bad = sl_bad = 0
+    for G, d, e in gs:
+        for H, g, h in hs:
+            sl, sr = ev.final_scores(G, H)
+            points += 1
+            sr_bad += sr != e + h
+            sl_bad += sl not in (e + g, d + h)
+            o = outcome_from_scores(sl, sr).value
+            fixed.add((outcome(G).value, outcome(H).value, o))
+            family.add((outcome(H).value, outcome(G).value, o))
+    family |= fixed
+    for H1, _, _ in hs:
+        for H2, _, _ in hs:
+            o = outcome_from_scores(*ev.final_scores(H1, H2)).value
+            family.add((outcome(H1).value, outcome(H2).value, o))
+    expected = TemplateSweep(1, points, fixed, family, sr_bad, sl_bad)
+    assert outcome_template_sweep(bound=1) == expected
+
+
+def test_reduction_safety_flags_an_unsound_step(monkeypatch):
+    import scoreplay.verify as verify
+
+    real = verify.reduce_step
+    fired = []
+
+    def unsound_once(node, *args, **kwargs):
+        if fired or not (node.left or node.right):
+            return real(node, *args, **kwargs)
+        # a leaf whose outcome differs from node's, so the context 0
+        # already tells the two apart
+        fired.append(node)
+        k = next(k for k in (1, -1, 0) if outcome(leaf(k)) is not outcome(node))
+        return leaf(k), None
+
+    monkeypatch.setattr(verify, "reduce_step", unsound_once)
+    res = verify_reduction_safety(SMALL, context_spec=TINY)
+    assert fired
+    assert not res.checks[0].passed
+    assert res.checks[0].details.endswith("violations=1")
+    assert res.checks[1].passed
+
+
+def test_duality_rows_flag_the_scalar_contexts(monkeypatch):
+    import scoreplay.order as order
+
+    games = universe(TINY)
+    ev = SumEvaluator()
+    for g in games:
+        for h in games:
+            ge = [order.ge_refutation_at(g, h, x, ev) is not None for x in games]
+            le = [order.le_refutation_at(h, g, x, ev) is not None for x in games]
+            assert order._refutation_flags(g, h, games, ev, order._GE_TEST) == ge
+            assert order._refutation_flags(h, g, games, ev, order._LE_TEST) == le
+            assert ge == le
+    assert verify_duality(TINY, max_pairs=10**9).passed
+    # and the row comparison is live: a <= test that always hits breaks it
+    monkeypatch.setattr(order, "_LE_TEST", lambda *scores: True)
+    assert not verify_duality(TINY, max_pairs=10**9).passed
+
+
 def test_run_suite_dispatch():
     assert run_suite("partition", TINY).passed
     with pytest.raises(ValueError):
         run_suite("nonsense", TINY)
+
+
+def test_run_suite_applies_registered_defaults_and_overrides():
+    assert SUITES["reduction-safety"].defaults == {"max_games": 400}
+    assert SUITES["confluence"].defaults == {"n_games": 300}
+    res = run_suite("outcome-template", TINY, seed=5, bound=1)
+    assert "grid_points=6561" in res.checks[0].details  # 106 of 125 at grid 1
+    res = run_suite("confluence", TINY, seed=3, n_games=20)
+    assert "games=20 " in res.checks[0].details

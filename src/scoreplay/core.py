@@ -263,12 +263,23 @@ def equivalent(g: GameTerm, h: GameTerm) -> bool:
 
 
 def max_abs_score(g: GameTerm) -> Score:
-    """Largest |score| over all vertices of the game tree."""
-    best = abs(g.score)
-    for o in g.left + g.right:
-        sub = max_abs_score(o)
-        if sub > best:
-            best = sub
+    """Largest |score| over all vertices of the game tree.
+
+    Each distinct subterm is visited once, from an explicit stack, so
+    the cost is linear in the shared DAG, not the tree, and depth costs
+    no Python recursion.
+    """
+    best = 0
+    seen = {g}
+    stack = [g]
+    while stack:
+        t = stack.pop()
+        if abs(t.score) > best:
+            best = abs(t.score)
+        for o in t.left + t.right:
+            if o not in seen:
+                seen.add(o)
+                stack.append(o)
     return best
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GameTerm, Score, Side, game
+from .notation import MAX_NESTING
 
 __all__ = ["TfPosition", "TfError", "tf_parse", "tf_moves", "tf_to_game"]
 
@@ -32,12 +33,30 @@ class TfPosition:
 
 
 def tf_parse(text: str) -> TfPosition:
-    """Parse a strip like 'TBF' (T toad, F frog, B blank); score starts 0."""
+    """Parse a strip like 'TBF' (T toad, F frog, B blank); score starts 0.
+
+    Every move advances one piece one or two cells, and a toad never
+    passes the right end nor a frog the left, so no play is longer than
+    the cells right of each toad plus the cells left of each frog.  That
+    bounds the depth of the compiled term; a strip whose bound exceeds
+    ``notation.MAX_NESTING`` is refused, as deeper brace input is.
+    """
     if not text:
         raise TfError("empty position")
+    n = len(text)
+    moves = 0
     for i, ch in enumerate(text):
         if ch not in _ALPHABET:
             raise TfError(f"illegal cell {ch!r} at index {i} (use T, F, B)")
+        if ch == "T":
+            moves += n - 1 - i
+        elif ch == "F":
+            moves += i
+    if moves > MAX_NESTING:
+        raise TfError(
+            f"a play may last {moves} moves, more than the nesting "
+            f"limit of {MAX_NESTING}"
+        )
     return TfPosition(tuple(text), 0)
 
 

@@ -174,6 +174,18 @@ class TestTf:
         code, _ = run_cli("tf", "TXF")
         assert code == 2
 
+    def test_strip_depth_bound(self, capsys):
+        # a toad with n blanks to its right compiles to an n-deep chain
+        from scoreplay.notation import MAX_NESTING
+
+        code, out = run_cli("tf", "T" + "B" * MAX_NESTING)
+        assert code == 0
+        assert " outcome=T " in out
+        code, out = run_cli("tf", "T" + "B" * (MAX_NESTING + 1))
+        assert code == 2
+        assert out == ""
+        assert "nesting limit" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_pass_exits_0(self):

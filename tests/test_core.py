@@ -197,6 +197,17 @@ def test_max_abs_score():
     assert max_abs_score(leaf(Fraction(-7, 2))) == Fraction(7, 2)
 
 
+def test_max_abs_score_walks_shared_subterms_once():
+    from scoreplay import add
+
+    c = leaf(1)
+    for _ in range(30):
+        c = game([c], 0, [])
+    s = add(c, c)  # about 2e16 tree nodes over 961 distinct subterms
+    assert s.node_count > 10**15
+    assert max_abs_score(s) == 2
+
+
 def test_caches_are_observationally_transparent():
     from scoreplay import add, clear_caches, final_scores, outcome
 

@@ -16,6 +16,7 @@ from scoreplay import (
     duality_check,
     enumerate_universe,
     equal,
+    equivalent,
     final_scores,
     greater_equal,
     leaf,
@@ -29,6 +30,7 @@ from scoreplay import (
     universe_size,
     zero,
 )
+from scoreplay.core import _esig
 from scoreplay.order import (
     ContextTable,
     _extend_rows,
@@ -299,6 +301,29 @@ def _deep_games():
 
 
 class TestContextKernel:
+    @pytest.mark.parametrize("spec", [TINY, DEFAULT_UNIVERSE])
+    def test_universe_table_has_one_id_per_class(self, spec):
+        games = universe(spec)
+        table = _registered_table(games)
+        classes = {_esig(x) for x in games}
+        assert len(table) == len(classes) == len(set(table.order))
+        assert table.contexts == games
+        for x, i in zip(games, table.order):
+            rep = table.games[i]
+            assert equivalent(rep, x)
+            assert term_order_key(rep) <= term_order_key(x)
+        assert [table.order[p] for p in table.firsts] == list(range(len(table)))
+
+    def test_class_columns_equal_pairwise_evaluator(self, default_universe):
+        table = _registered_table(default_universe)
+        assert len(table) == 380
+        ev = SumEvaluator()
+        for g in _deep_games()[:6] + _fraction_games()[::15]:
+            sl, sr = _extend_rows(g, table, {}, len(table))
+            assert [(sl[i], sr[i]) for i in table.order] == [
+                ev.final_scores(g, x) for x in default_universe
+            ]
+
     @pytest.mark.parametrize("source", ["tiny", "default", "deep", "fraction"])
     def test_first_hits_match_scalar_scan(self, source, tiny_universe,
                                           default_universe):

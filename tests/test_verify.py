@@ -1,6 +1,13 @@
 import pytest
 
-from scoreplay import SumEvaluator, leaf, outcome, outcome_template, universe
+from scoreplay import (
+    SumEvaluator,
+    UniverseSpec,
+    leaf,
+    outcome,
+    outcome_template,
+    universe,
+)
 from scoreplay.score import outcome_from_scores
 from scoreplay.verify import (
     SUITES,
@@ -55,6 +62,16 @@ def test_reduction_safety_suite():
     res = verify_reduction_safety(SMALL, context_spec=TINY)
     assert res.passed
     assert "steps=" in res.checks[0].details
+
+
+def test_reduction_safety_over_depth_two_contexts():
+    # 163,805 contexts, searched as their 7,205 equivalence classes
+    res = verify_reduction_safety(
+        DEFAULT, context_spec=UniverseSpec(2, 1, (-2, -1, 0, 1, 2)),
+        max_games=60,
+    )
+    assert res.passed
+    assert "contexts=163805 violations=0" in res.checks[0].details
 
 
 def test_confluence_suite_and_sampler_determinism():

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -68,6 +69,8 @@ def as_score(value: Score) -> Score:
     rejected: scores must stay exact for outcome classification to be
     decidable.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise TypeError("scores are numbers, not booleans")
     if isinstance(value, int):
@@ -113,12 +116,17 @@ _interned: dict[tuple, GameTerm] = {}
 
 
 def _canon_options(options: Iterable[GameTerm]) -> tuple[GameTerm, ...]:
-    opts = list(options)
+    opts = tuple(options)
     for o in opts:
         if not isinstance(o, GameTerm):
             raise TypeError(f"options must be GameTerm, got {o!r}")
+    if len(opts) < 2:  # leaves and chains: already canonical
+        return opts
     # dict preserves first-seen order; interning makes duplicates identical
-    return tuple(sorted(dict.fromkeys(opts), key=lambda t: t.okey))
+    return tuple(sorted(dict.fromkeys(opts), key=_okey))
+
+
+_okey = attrgetter("okey")
 
 
 def game(
@@ -284,12 +292,50 @@ def max_abs_score(g: GameTerm) -> Score:
 
 
 def render(g: GameTerm, full: bool = False) -> str:
-    """Bracket notation; compact writes a leaf as its bare score."""
-    if g.is_leaf and not full:
-        return str(g.score)
-    lt = ",".join(render(o, full) for o in g.left) if g.left else "."
-    rt = ",".join(render(o, full) for o in g.right) if g.right else "."
-    return f"{{{lt}|{g.score}|{rt}}}"
+    """Bracket notation; compact writes a leaf as its bare score.
+
+    Each distinct subterm is rendered once, children before parents, from
+    an explicit stack, so a shared subterm costs one string however often
+    it is printed and depth costs no Python recursion.  A subterm's string
+    is dropped once its last parent has used it.
+    """
+    if not g.left and not g.right:
+        return f"{{.|{g.score}|.}}" if full else str(g.score)
+    # Post-order over distinct subterms, counting the uses of each.
+    # Leaves have no children, so they go to the order when first met.
+    uses = {g: 1}
+    order = []
+    stack = [(g, iter(g.left + g.right))]
+    while stack:
+        t, children = stack[-1]
+        for o in children:
+            if o in uses:
+                uses[o] += 1
+                continue
+            uses[o] = 1
+            if o.left or o.right:
+                stack.append((o, iter(o.left + o.right)))
+                break
+            order.append(o)
+        else:
+            stack.pop()
+            order.append(t)
+    text: dict[GameTerm, str] = {}
+    for t in order:
+        left, right = t.left, t.right
+        if not left and not right:
+            text[t] = f"{{.|{t.score}|.}}" if full else str(t.score)
+            continue
+        lt = ",".join([text[o] for o in left]) if left else "."
+        rt = ",".join([text[o] for o in right]) if right else "."
+        text[t] = f"{{{lt}|{t.score}|{rt}}}"
+        for o in left + right:
+            n = uses[o] - 1
+            if n:
+                uses[o] = n
+            else:
+                del text[o]
+    return text[g]
 
 
 def clear_caches() -> None:

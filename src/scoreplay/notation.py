@@ -8,7 +8,8 @@ Grammar::
 
 Whitespace is insignificant.  A bare number denotes the leaf {.|n|.};
 '.' is the only spelling of an empty option set.  Decimals are converted
-to exact rationals.  Braces may nest at most ``MAX_NESTING`` deep.
+to exact rationals, and a denominator divides the decimal before it
+('1.5/2' is 3/4).  Braces may nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Any
 
 from .core import GameTerm, Score, as_score, game, leaf, render
@@ -58,132 +60,191 @@ class DuplicateOptionWarning(UserWarning):
     """An option set literal repeated a member; duplicates collapse."""
 
 
-#: Deepest brace nesting parse() accepts.  The parser, evaluators and
-#: printers recurse with up to a few Python frames per level of a term,
-#: so a term this deep stays inside the default recursion limit; deeper
-#: input is a ParseError instead of a RecursionError.
+#: Deepest brace nesting parse() accepts.  The parser and the printer
+#: work from explicit stacks, but ``final_scores``, ``SumEvaluator``,
+#: ``add``, ``negate`` and ``canonicalize`` still recurse with up to a few
+#: Python frames per level of a term, so a term this deep stays inside the
+#: default recursion limit; deeper input is a ParseError instead of a
+#: RecursionError.
 MAX_NESTING = 200
 
 _NUMBER = r"[+-]?\d+(?:\.\d+)?(?:/\d+)?"
-_TOKEN = re.compile(rf"({_NUMBER})|([{{}}|,.])|(\s+)")
 _NUMBER_RE = re.compile(_NUMBER)
+# One token, whitespace excluded.  findall() yields the token strings in
+# order, and finditer() over the same pattern recovers their spans.  The
+# text is valid when the tokens cover every non-whitespace character: a
+# whole-text pattern would backtrack exponentially on a bad character
+# after a long number, and even match() keeps state per repetition
+# (over a gigabyte for a 6 MB term).
+_TOKEN = re.compile(rf"{_NUMBER}|[{{}}|,.]")
+_NON_SPACE = re.compile(r"\S")
+_PUNCTUATION = frozenset("{}|,.")
 
 
-def _tokenize(text: str) -> list[tuple[str, SourceSpan]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1)
-            )
-        if not m.group(3):
-            tokens.append((m.group(0), SourceSpan(m.start(), m.end())))
-        pos = m.end()
-    return tokens
+def _to_score(literal: str) -> Score:
+    """Exact value of a number literal; only '.' and '/' need a Fraction.
+
+    Raises ZeroDivisionError for a zero denominator and ValueError for a
+    literal longer than Python converts (``sys.get_int_max_str_digits``).
+    """
+    if "." not in literal and "/" not in literal:
+        return int(literal)
+    num, _, den = literal.partition("/")
+    return as_score(Fraction(num) / int(den or 1))
 
 
-def _number_to_score(text: str, span: SourceSpan) -> Score:
-    try:
-        return as_score(Fraction(text))
-    except ZeroDivisionError:
-        raise ParseError("zero denominator", span) from None
+def _span_error(text: str, k: int, message: str) -> ParseError:
+    """The error for the k-th token, or for the end of input past the last.
+
+    Spans are found only here, on failure, by the same pattern that split
+    the text.
+    """
+    m = next(islice(_TOKEN.finditer(text), k, None), None)
+    if m is None:
+        n = len(text)
+        return ParseError("unexpected end of input", SourceSpan(n, n))
+    return ParseError(message, SourceSpan(m.start(), m.end()))
+
+
+def _bad_character(text: str) -> ParseError:
+    """The error for the first non-whitespace character no token covers."""
+    end = 0
+    for m in _TOKEN.finditer(text):
+        bad = _NON_SPACE.search(text, end, m.start())
+        if bad:
+            break
+        end = m.end()
+    else:
+        bad = _NON_SPACE.search(text, end)
+    k = bad.start()
+    return ParseError(
+        f"unexpected character {text[k]!r}", SourceSpan(k, k + 1)
+    )
+
+
+def _number_message(exc: Exception) -> str:
+    """Why _to_score refused a literal."""
+    if isinstance(exc, ZeroDivisionError):
+        return "zero denominator"
+    return "number has too many digits"
 
 
 def parse_score(text: str) -> Score:
     """Parse a single score literal ('5', '-3/2', '1.5')."""
     stripped = text.strip()
+    span = SourceSpan(0, len(text))
     if not _NUMBER_RE.fullmatch(stripped):
-        raise ParseError(
-            f"not a score literal: {text!r}", SourceSpan(0, len(text))
-        )
-    return _number_to_score(stripped, SourceSpan(0, len(text)))
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def _peek(self) -> tuple[str, SourceSpan]:
-        if self.pos >= len(self.tokens):
-            n = len(self.text)
-            raise ParseError("unexpected end of input", SourceSpan(n, n))
-        return self.tokens[self.pos]
-
-    def _next(self) -> tuple[str, SourceSpan]:
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def _expect(self, literal: str) -> SourceSpan:
-        tok, span = self._peek()
-        if tok != literal:
-            raise ParseError(f"expected {literal!r}, found {tok!r}", span)
-        self.pos += 1
-        return span
-
-    def parse_game(self) -> GameTerm:
-        tok, span = self._peek()
-        if tok == "{":
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"braces nest deeper than {MAX_NESTING}", span
-                )
-            self.pos += 1
-            self.depth += 1
-            left = self.parse_options()
-            self._expect("|")
-            score = self.parse_score_token()
-            self._expect("|")
-            right = self.parse_options()
-            self._expect("}")
-            self.depth -= 1
-            return game(left, score, right)
-        if _NUMBER_RE.fullmatch(tok):
-            self.pos += 1
-            return leaf(_number_to_score(tok, span))
-        raise ParseError(f"expected a game, found {tok!r}", span)
-
-    def parse_score_token(self) -> Score:
-        tok, span = self._peek()
-        if not _NUMBER_RE.fullmatch(tok):
-            raise ParseError(
-                f"expected a score (it is mandatory), found {tok!r}", span
-            )
-        self.pos += 1
-        return _number_to_score(tok, span)
-
-    def parse_options(self) -> list[GameTerm]:
-        tok, span = self._peek()
-        if tok == ".":
-            self.pos += 1
-            return []
-        options = [self.parse_game()]
-        while self.pos < len(self.tokens) and self.tokens[self.pos][0] == ",":
-            self.pos += 1
-            options.append(self.parse_game())
-        if len(dict.fromkeys(options)) < len(options):
-            warnings.warn(
-                "duplicate options collapse to one", DuplicateOptionWarning,
-                stacklevel=4,
-            )
-        return options
+        raise ParseError(f"not a score literal: {text!r}", span)
+    try:
+        return _to_score(stripped)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise ParseError(_number_message(exc), span) from None
 
 
 def parse(text: str) -> GameTerm:
-    """Parse bracket notation into a term."""
+    """Parse bracket notation into a term.
+
+    One loop reads the tokens, with an explicit stack of open braces, so
+    nesting costs no Python recursion.
+    """
     if not text.strip():
         raise ParseError("empty input", SourceSpan(0, len(text)))
-    parser = _Parser(text)
-    term = parser.parse_game()
-    if parser.pos < len(parser.tokens):
-        tok, span = parser.tokens[parser.pos]
-        raise ParseError(f"trailing input {tok!r}", span)
-    return term
+    toks: list = _TOKEN.findall(text)
+    if sum(map(len, toks)) != len("".join(text.split())):
+        raise _bad_character(text)
+    n = len(toks)
+    toks.append(None)  # end of input: equal to no literal, not a number
+    leaves: dict[str, GameTerm] = {}  # number token -> its leaf
+    # One [left options, score, options being read] per open brace; left
+    # is None until the left options close.
+    stack: list[list] = []
+    i = 0
+    while True:
+        # A game starts at token i.
+        tok = toks[i]
+        if tok == "{":
+            if len(stack) == MAX_NESTING:
+                raise _span_error(
+                    text, i, f"braces nest deeper than {MAX_NESTING}"
+                )
+            stack.append([None, None, []])
+            i += 1
+            if toks[i] != ".":
+                continue
+            i += 1
+            term = None  # the options just closed as '.'
+        else:
+            term = leaves.get(tok)
+            if term is None:
+                if tok in _PUNCTUATION or tok is None:
+                    raise _span_error(
+                        text, i, f"expected a game, found {tok!r}"
+                    )
+                try:
+                    term = leaves[tok] = leaf(_to_score(tok))
+                except (ZeroDivisionError, ValueError) as exc:
+                    raise _span_error(text, i, _number_message(exc)) from None
+            i += 1
+        # Attach finished games to the open braces until one needs a game.
+        while True:
+            if term is not None:
+                if not stack:
+                    if i < n:
+                        raise _span_error(
+                            text, i, f"trailing input {toks[i]!r}"
+                        )
+                    return term
+                frame = stack[-1]
+                options = frame[2]
+                options.append(term)
+                if toks[i] == ",":
+                    i += 1
+                    break
+                if len(options) > 1 and len(set(options)) < len(options):
+                    warnings.warn(
+                        "duplicate options collapse to one",
+                        DuplicateOptionWarning, stacklevel=2,
+                    )
+            else:
+                frame = stack[-1]
+            # The options of the innermost open brace are closed.
+            if frame[0] is None:
+                frame[0] = frame[2]
+                if toks[i] != "|":
+                    raise _span_error(
+                        text, i, f"expected '|', found {toks[i]!r}"
+                    )
+                tok = toks[i + 1]
+                if tok in _PUNCTUATION or tok is None:
+                    raise _span_error(
+                        text, i + 1,
+                        f"expected a score (it is mandatory), found {tok!r}",
+                    )
+                try:
+                    score = _to_score(tok)
+                except (ZeroDivisionError, ValueError) as exc:
+                    raise _span_error(
+                        text, i + 1, _number_message(exc)
+                    ) from None
+                if toks[i + 2] != "|":
+                    raise _span_error(
+                        text, i + 2, f"expected '|', found {toks[i + 2]!r}"
+                    )
+                frame[1] = score
+                frame[2] = []
+                i += 3
+                if toks[i] != ".":
+                    break
+                i += 1
+                term = None
+            else:
+                if toks[i] != "}":
+                    raise _span_error(
+                        text, i, f"expected '}}', found {toks[i]!r}"
+                    )
+                i += 1
+                stack.pop()
+                term = game(frame[0], frame[1], frame[2])
 
 
 def print_game(g: GameTerm, style: str = "compact") -> str:

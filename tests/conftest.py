@@ -59,6 +59,46 @@ def terms(max_depth: int = 2, max_width: int = 2):
     )
 
 
+#: Characters of bracket notation, plus a few that no token contains.
+NOTATION_CHARS = "{}|,.0123456789+-/ " + "x;\t\né"
+
+
+@st.composite
+def near_notation(draw):
+    """Printed terms with up to three characters inserted, deleted or
+    replaced: mostly almost-valid text, which reaches every parse error."""
+    from scoreplay import print_game
+
+    style = draw(st.sampled_from(["compact", "full"]))
+    text = print_game(draw(terms()), style=style)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(NOTATION_CHARS))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            text = text[:i] + c + text[i:]
+        else:
+            text = text[:i] + (c if op == "replace" else "") + text[i + 1:]
+    return text
+
+
+#: Whole tokens, every number form among them, for token-level fuzzing.
+NOTATION_TOKENS = [
+    "{", "}", "|", ",", ".", " ", "0", "-1", "+2", "1/2", "1.5", "1.5/2",
+    "3/0", "0.0/0", "x",
+]
+
+
+def notation_text():
+    """Random strings over the notation's characters or tokens, or
+    near-valid text."""
+    return st.one_of(
+        st.text(alphabet=NOTATION_CHARS, max_size=40),
+        st.lists(st.sampled_from(NOTATION_TOKENS), max_size=24).map("".join),
+        near_notation(),
+    )
+
+
 # ---------------------------------------------------------------------------
 # acceptance reporting: one pass/fail line per criterion
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@ import json
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from scoreplay.cli import main
+
+from conftest import notation_text
 
 
 def run_cli(*argv):
@@ -251,6 +256,22 @@ class TestDeterminismAndConfig:
     def test_bad_scores_flag(self):
         code, _ = run_cli("enum", "--scores", "0,zebra")
         assert code == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["eval", "neg", "sum", "canon"]),
+    st.lists(notation_text(), max_size=3),
+)
+def test_random_arguments_give_an_exit_code(command, args):
+    code, _ = run_cli(command, *args)
+    assert code in (0, 1, 2)
+
+
+def test_decimal_with_denominator_evaluates():
+    code, out = run_cli("eval", "{1.5/2|0|.}")
+    assert code == 0
+    assert out.startswith("term={3/4|0|.} sl=3/4 ")
 
 
 def test_console_entry_point():

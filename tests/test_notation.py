@@ -1,21 +1,31 @@
+import hashlib
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
+import notation_reference as reference
 from scoreplay import (
     DuplicateOptionWarning,
     ParseError,
     RecordError,
+    add,
     from_structured,
+    game,
     identical,
     leaf,
     parse,
+    parse_score,
     print_game,
+    render,
+    tf_parse,
+    tf_to_game,
     to_structured,
 )
 
-from conftest import terms
+from conftest import notation_text, terms
 
 TBF_TEXT = "{{.|0|{-1|-1|.}}|0|{{.|1|1}|0|.}}"
 
@@ -71,6 +81,25 @@ class TestParse:
             parse("{1|0|x}")
         assert exc.value.span.start == "{1|0|x}".index("x")
 
+    def test_bad_character_after_a_long_number_fails_fast(self):
+        # A backtracking whole-text match would take 2**40 steps here.
+        with pytest.raises(ParseError) as exc:
+            parse("1" * 40 + "x")
+        assert exc.value.span.start == 40
+
+    def test_large_input_parses_in_memory_linear_in_its_tokens(self):
+        # About 11 bytes a character; a regex that keeps state per
+        # repetition, or a span object per token, needs about 200.
+        g = tf_to_game(tf_parse("TTBBFF"))
+        text = print_game(g)
+        tracemalloc.start()
+        try:
+            assert parse(text) is g
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * len(text)
+
     def test_zero_denominator(self):
         with pytest.raises(ParseError) as exc:
             parse("1/0")
@@ -105,6 +134,62 @@ class TestParse:
             g = parse("{1,1|0|.}")
         assert g is parse("{1|0|.}")
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_duplicate_warning_points_at_the_caller(self, depth):
+        text = "{" * (depth - 1) + "{1,1|0|.}" + "|0|.}" * (depth - 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse(text)
+        assert [w.category for w in caught] == [DuplicateOptionWarning]
+        assert caught[0].filename == __file__
+
+    def test_decimal_with_denominator(self):
+        assert parse("1.5/2") is leaf(Fraction(3, 4))
+        assert parse("{.|-0.5/3|.}").score == Fraction(-1, 6)
+        assert parse_score(" 1.5/2 ") == Fraction(3, 4)
+        with pytest.raises(ParseError) as exc:
+            parse("{.|1.5/0|.}")
+        assert (exc.value.message, exc.value.span.start) == (
+            "zero denominator", 3
+        )
+
+    def test_overlong_number_is_a_parse_error(self):
+        digits = "1" * 5000
+        with pytest.raises(ParseError) as exc:
+            parse("{0|" + digits + "|.}")
+        assert (exc.value.span.start, exc.value.span.end) == (3, 5003)
+        with pytest.raises(ParseError):
+            parse_score(digits)
+        with pytest.raises(RecordError):
+            from_structured({"left": [], "score": digits, "right": []})
+
+
+def _outcome(parser, text):
+    """The term parsed, or the ParseError's message and span."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DuplicateOptionWarning)
+        try:
+            return parser(text)
+        except ParseError as exc:
+            return (str(exc), exc.message, exc.span)
+
+
+class TestParseMatchesReference:
+    """parse() against the recursive-descent parser it replaced."""
+
+    @given(notation_text())
+    def test_random_text(self, text):
+        assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+    @pytest.mark.parametrize("tail", ["", "|0|.}", ",2|0|.}", "|0|.}}", "x"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_around_the_nesting_limit(self, tail, extra):
+        from scoreplay.notation import MAX_NESTING
+
+        n = MAX_NESTING + extra
+        text = "{" * n + "1" + "|0|.}" * (n - 1) + tail
+        assert _outcome(parse, text) == _outcome(reference.parse, text)
+
 
 class TestPrint:
     def test_leaf_styles(self):
@@ -134,6 +219,42 @@ class TestPrint:
     @given(terms())
     def test_round_trip_full(self, g):
         assert identical(parse(print_game(g, style="full")), g)
+
+    @given(terms(max_depth=3))
+    def test_matches_the_recursive_printer(self, g):
+        assert render(g) == reference.render(g)
+        assert render(g, full=True) == reference.render(g, full=True)
+
+    @given(terms(), terms())
+    def test_sums_share_subterms_and_print_as_trees(self, g, h):
+        s = add(g, h)
+        assert render(s) == reference.render(s)
+        assert render(s, full=True) == reference.render(s, full=True)
+
+    def test_deep_chain_prints_without_recursion(self):
+        chain = leaf(1)
+        for _ in range(2000):
+            chain = game([chain], 0, ())
+        assert print_game(chain) == "{" * 2000 + "1" + "|0|.}" * 2000
+
+    def test_largest_printed_strip_is_byte_exact(self):
+        text = print_game(tf_to_game(tf_parse("TTBBBFF")))
+        assert len(text) == 6_324_496
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "652c0ae1303dfeee3afcd4d9fa40fe440fb392b4e98ae396ffa2a5992fafa137"
+        )
+
+    def test_strings_are_dropped_after_their_last_use(self):
+        # Keeping every subterm's string would double the peak (about 3.8
+        # times the output instead of 2 on this term).
+        g = tf_to_game(tf_parse("TTBBBFF"))
+        tracemalloc.start()
+        try:
+            n = len(print_game(g))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n
 
     def test_equal_terms_print_identically(self):
         a = print_game(parse("{2,1|0|.}"))

@@ -19,11 +19,11 @@ from typing import Optional
 
 from .core import GameTerm, NodePath, Side, game
 from .order import (
+    Refuted,
     UniverseSpec,
     Unrefuted,
     Verdict,
     _sound_ge,
-    _sound_le,
     greater_equal,
     less_equal,
 )
@@ -84,28 +84,24 @@ class ReductionTrace:
         return any(s.conjectural for s in self.steps)
 
 
-def _dom_verdict(
-    better: GameTerm,
-    worse: GameTerm,
+def _as_good(
+    a: GameTerm,
+    b: GameTerm,
     side: Side,
     spec: UniverseSpec,
     mode: Mode,
     ev: SumEvaluator,
 ) -> Optional[Verdict]:
-    # Left keeps larger options, Right keeps smaller ones.
-    if side is Side.LEFT:
-        sound = _sound_ge(better, worse)
-    else:
-        sound = _sound_le(better, worse)
-    if sound is not None:
-        return sound
+    """The verdict that a is at least as good as b for ``side``, or None.
+
+    Left prefers larger games (a >= b) and Right smaller ones (a <= b).
+    SOUND mode accepts a Proved verdict only; CONJECTURAL mode also
+    accepts an Unrefuted one.
+    """
     if mode is Mode.SOUND:
-        return None
-    if side is Side.LEFT:
-        v = greater_equal(better, worse, spec, ev)
-    else:
-        v = less_equal(better, worse, spec, ev)
-    return v if isinstance(v, Unrefuted) else None
+        return _sound_ge(a, b) if side is Side.LEFT else _sound_ge(b, a)
+    v = (greater_equal if side is Side.LEFT else less_equal)(a, b, spec, ev)
+    return None if isinstance(v, Refuted) else v
 
 
 def dominated_options(
@@ -127,7 +123,7 @@ def dominated_options(
             for worse in options:
                 if better is worse:
                     continue
-                v = _dom_verdict(better, worse, side, spec, mode, ev)
+                v = _as_good(better, worse, side, spec, mode, ev)
                 if v is not None:
                     out.append((side, worse, better, v))
     return out
@@ -141,38 +137,25 @@ def reversible_options(
 ) -> list[tuple[Side, GameTerm, GameTerm, Verdict]]:
     """All (side, option, response witness, verdict) at the root of g.
 
-    A Left option A is reversible when some Right option of A is <= g;
-    the minimal qualifying response is reported.  Responses with no
+    A Left option A is reversible when some Right option of A is <= g,
+    that is, at least as good as g for Right; Right options mirror this.
+    The minimal qualifying response is reported.  Responses with no
     replacement options to offer are skipped: bypassing through them
     would delete A outright, which the reversibility theorem does not
     license.
     """
     ev = evaluator or SumEvaluator()
     out: list[tuple[Side, GameTerm, GameTerm, Verdict]] = []
-    for a in g.left:
-        for response in a.right:
-            if not response.left:
-                continue
-            sound = _sound_le(response, g)
-            v: Optional[Verdict] = sound
-            if v is None and mode is Mode.CONJECTURAL:
-                full = less_equal(response, g, spec, ev)
-                v = full if isinstance(full, Unrefuted) else None
-            if v is not None:
-                out.append((Side.LEFT, a, response, v))
-                break
-    for d in g.right:
-        for response in d.left:
-            if not response.right:
-                continue
-            sound = _sound_ge(response, g)
-            v = sound
-            if v is None and mode is Mode.CONJECTURAL:
-                full = greater_equal(response, g, spec, ev)
-                v = full if isinstance(full, Unrefuted) else None
-            if v is not None:
-                out.append((Side.RIGHT, d, response, v))
-                break
+    for side, options in ((Side.LEFT, g.left), (Side.RIGHT, g.right)):
+        left = side is Side.LEFT
+        for a in options:
+            for response in a.right if left else a.left:
+                if not (response.left if left else response.right):
+                    continue
+                v = _as_good(response, g, side.opposite(), spec, mode, ev)
+                if v is not None:
+                    out.append((side, a, response, v))
+                    break
     return out
 
 

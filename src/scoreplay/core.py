@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Container, Iterable, Iterator, Union
 
 __all__ = [
     "Score",
@@ -103,6 +103,8 @@ class GameTerm:
     depth: int = field(compare=False)
     node_count: int = field(compare=False)
     okey: tuple = field(compare=False)
+    sl: Score = field(compare=False)
+    sr: Score = field(compare=False)
 
     def __repr__(self) -> str:
         return f"GameTerm({render(self)})"
@@ -150,7 +152,9 @@ def game(
             tuple(o.okey for o in lt),
             tuple(o.okey for o in rt),
         )
-        term = GameTerm(lt, s, rt, depth, nodes, okey)
+        sl = max([o.sr for o in lt]) if lt else s
+        sr = min([o.sl for o in rt]) if rt else s
+        term = GameTerm(lt, s, rt, depth, nodes, okey, sl, sr)
         _interned[key] = term
     return term
 
@@ -241,23 +245,53 @@ def is_termination_vertex(g: GameTerm, path: NodePath = ()) -> bool:
     return not v.left or not v.right
 
 
-_esig_cache: dict[GameTerm, tuple] = {}
+def _postorder(g: GameTerm, done: Container[GameTerm]) -> list[GameTerm]:
+    """Subterms of g not in ``done``, each once, children before parents.
+
+    Walks an explicit stack, so depth costs no Python recursion.
+    """
+    order: list[GameTerm] = []
+    seen: set[GameTerm] = set()
+    stack = [g]
+    while stack:
+        t = stack[-1]
+        if t in seen or t in done:
+            stack.pop()
+            continue
+        pending = [o for o in t.left + t.right if o not in seen and o not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        seen.add(t)
+        order.append(t)
+    return order
 
 
-def _esig(g: GameTerm) -> tuple:
-    # Signature forgetting scores at non-termination vertices; sorting the
-    # child signatures makes equality of signatures an honest equivalence
-    # relation (it quantifies over option matchings).
-    sig = _esig_cache.get(g)
-    if sig is None:
-        mark = (1, g.score) if (not g.left or not g.right) else (0, 0)
-        sig = (
-            mark,
-            tuple(sorted(_esig(o) for o in g.left)),
-            tuple(sorted(_esig(o) for o in g.right)),
-        )
-        _esig_cache[g] = sig
-    return sig
+#: Class ids by (termination score or None, sorted left and right ids).
+#: Never cleared: a reused id would make unrelated games equivalent.
+_class_ids: dict[tuple, int] = {}
+_esig_cache: dict[GameTerm, int] = {}
+
+
+def _esig(g: GameTerm) -> int:
+    """Equivalence class id: equal for two games iff they are ``equivalent``.
+
+    A vertex's key forgets its score unless it is a termination vertex,
+    and sorts its children's ids, so equal keys quantify over option
+    matchings; keys are interned to ints children first.
+    """
+    cid = _esig_cache.get(g)
+    if cid is None:
+        for t in _postorder(g, _esig_cache):
+            key = (
+                t.score if not t.left or not t.right else None,
+                tuple(sorted([_esig_cache[o] for o in t.left])),
+                tuple(sorted([_esig_cache[o] for o in t.right])),
+            )
+            _esig_cache[t] = _class_ids.setdefault(key, len(_class_ids))
+        cid = _esig_cache[g]
+    return cid
 
 
 def equivalent(g: GameTerm, h: GameTerm) -> bool:
@@ -273,22 +307,10 @@ def equivalent(g: GameTerm, h: GameTerm) -> bool:
 def max_abs_score(g: GameTerm) -> Score:
     """Largest |score| over all vertices of the game tree.
 
-    Each distinct subterm is visited once, from an explicit stack, so
-    the cost is linear in the shared DAG, not the tree, and depth costs
-    no Python recursion.
+    Each distinct subterm is visited once, so the cost is linear in the
+    shared DAG, not the tree, and depth costs no Python recursion.
     """
-    best = 0
-    seen = {g}
-    stack = [g]
-    while stack:
-        t = stack.pop()
-        if abs(t.score) > best:
-            best = abs(t.score)
-        for o in t.left + t.right:
-            if o not in seen:
-                seen.add(o)
-                stack.append(o)
-    return best
+    return max([abs(t.score) for t in _postorder(g, ())])
 
 
 def render(g: GameTerm, full: bool = False) -> str:
@@ -339,14 +361,13 @@ def render(g: GameTerm, full: bool = False) -> str:
 
 
 def clear_caches() -> None:
-    """Drop evaluation caches (not the intern table, which backs identity).
+    """Drop evaluation caches (not the intern or class-id tables).
 
     Caches are observationally transparent; this exists for tests and for
     long sessions that want to release memory.
     """
-    from . import score as _score, sums as _sums
+    from . import sums as _sums
 
     _negate_cache.clear()
     _esig_cache.clear()
-    _score.clear_score_caches()
     _sums.clear_sum_caches()

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any
 
-from .core import GameTerm, Score, as_score, game, leaf, render
+from .core import GameTerm, Score, _postorder, as_score, game, leaf, render
 
 __all__ = [
     "SourceSpan",
@@ -60,10 +60,11 @@ class DuplicateOptionWarning(UserWarning):
     """An option set literal repeated a member; duplicates collapse."""
 
 
-#: Deepest brace nesting parse() accepts.  The parser and the printer
-#: work from explicit stacks, but ``final_scores``, ``SumEvaluator``,
-#: ``add``, ``negate`` and ``canonicalize`` still recurse with up to a few
-#: Python frames per level of a term, so a term this deep stays inside the
+#: Deepest brace nesting parse() accepts.  The parser, the printer and
+#: ``to_structured`` work from explicit stacks, and final scores and class
+#: ids are computed without recursion, but ``SumEvaluator``, ``add``,
+#: ``negate`` and ``canonicalize`` still recurse with up to a few Python
+#: frames per level of a term, so a term this deep stays inside the
 #: default recursion limit; deeper input is a ParseError instead of a
 #: RecursionError.
 MAX_NESTING = 200
@@ -260,12 +261,20 @@ _RECORD_FIELDS = {"left", "score", "right"}
 
 
 def to_structured(g: GameTerm) -> dict[str, Any]:
-    """Tree record with lists of child records and the score as a string."""
-    return {
-        "left": [to_structured(o) for o in g.left],
-        "score": str(g.score),
-        "right": [to_structured(o) for o in g.right],
-    }
+    """Tree record with lists of child records and the score as a string.
+
+    Records are built children first from an explicit stack, so depth
+    costs no Python recursion.  Each distinct subterm gets one record,
+    which every occurrence of it shares.
+    """
+    records: dict[GameTerm, dict[str, Any]] = {}
+    for t in _postorder(g, ()):
+        records[t] = {
+            "left": [records[o] for o in t.left],
+            "score": str(t.score),
+            "right": [records[o] for o in t.right],
+        }
+    return records[g]
 
 
 def from_structured(record: Any) -> GameTerm:

@@ -16,7 +16,8 @@ from math import comb
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Union
 
 from .core import (
-    GameTerm, Score, as_score, equivalent, game, leaf, render, _esig, _score_key,
+    GameTerm, Score, as_score, equivalent, game, leaf, render, _esig, _postorder,
+    _score_key,
 )
 from .score import _SET_TESTS, OutcomeSet, outcome_from_scores, set_holds
 from .sums import SumEvaluator, is_numeric
@@ -138,17 +139,7 @@ class ContextTable:
         self.final_left: list[Score] = []
         self.final_right: list[Score] = []
         for p in first.values():
-            stack = [self.contexts[p]]
-            while stack:  # iterative post-order: deep contexts are fine
-                t = stack[-1]
-                if t in index:
-                    stack.pop()
-                    continue
-                pending = [o for o in t.left + t.right if o not in index]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                stack.pop()
+            for t in _postorder(self.contexts[p], index):
                 index[t] = len(self.games)
                 self._append(t, index)
         ids = {k: index[self.contexts[p]] for k, p in first.items()}
@@ -156,15 +147,12 @@ class ContextTable:
         self.firsts = tuple(first.values())
 
     def _append(self, t: GameTerm, index: dict[GameTerm, int]) -> None:
-        lt = tuple(index[o] for o in t.left)
-        rt = tuple(index[o] for o in t.right)
         self.games.append(t)
         self.scores.append(t.score)
-        self.left.append(lt)
-        self.right.append(rt)
-        fl, fr = self.final_left, self.final_right
-        fl.append(max(fr[j] for j in lt) if lt else t.score)
-        fr.append(min(fl[j] for j in rt) if rt else t.score)
+        self.left.append(tuple(index[o] for o in t.left))
+        self.right.append(tuple(index[o] for o in t.right))
+        self.final_left.append(t.sl)
+        self.final_right.append(t.sr)
 
     def __len__(self) -> int:
         return len(self.games)
@@ -284,7 +272,7 @@ def _sound_ge(g: GameTerm, h: GameTerm) -> Optional[Proved]:
     # The only comparison facts the theory supplies constructively:
     # identical trees, equivalence (same tree, equal termination scores,
     # which preserves final scores in every context), and translation
-    # order between bare numbers.
+    # order between bare numbers.  g <= h is proved exactly when h >= g.
     if g is h:
         return Proved(SoundRule.IDENTICAL)
     if equivalent(g, h):
@@ -294,13 +282,19 @@ def _sound_ge(g: GameTerm, h: GameTerm) -> Optional[Proved]:
     return None
 
 
-def _sound_le(g: GameTerm, h: GameTerm) -> Optional[Proved]:
-    if g is h:
-        return Proved(SoundRule.IDENTICAL)
-    if equivalent(g, h):
-        return Proved(SoundRule.EQUIVALENT)
-    if is_numeric(g) and is_numeric(h) and g.score <= h.score:
-        return Proved(SoundRule.NUMERIC_ORDER)
+def _refutation_at(
+    g: GameTerm,
+    h: GameTerm,
+    x: GameTerm,
+    ev: SumEvaluator,
+    sets: tuple[OutcomeSet, ...],
+) -> Optional[OutcomeSet]:
+    """First set O in ``sets`` with h+x in O but g+x not, if any."""
+    slg, srg = ev.final_scores(g, x)
+    slh, srh = ev.final_scores(h, x)
+    for o in sets:
+        if set_holds(o, slh, srh) and not set_holds(o, slg, srg):
+            return o
     return None
 
 
@@ -308,24 +302,14 @@ def ge_refutation_at(
     g: GameTerm, h: GameTerm, x: GameTerm, ev: SumEvaluator
 ) -> Optional[OutcomeSet]:
     """First up-set O with h+x in O but g+x not, if any."""
-    slg, srg = ev.final_scores(g, x)
-    slh, srh = ev.final_scores(h, x)
-    for o in UP_SETS:
-        if set_holds(o, slh, srh) and not set_holds(o, slg, srg):
-            return o
-    return None
+    return _refutation_at(g, h, x, ev, UP_SETS)
 
 
 def le_refutation_at(
     g: GameTerm, h: GameTerm, x: GameTerm, ev: SumEvaluator
 ) -> Optional[OutcomeSet]:
     """First down-set O with h+x in O but g+x not, if any."""
-    slg, srg = ev.final_scores(g, x)
-    slh, srh = ev.final_scores(h, x)
-    for o in DOWN_SETS:
-        if set_holds(o, slh, srh) and not set_holds(o, slg, srg):
-            return o
-    return None
+    return _refutation_at(g, h, x, ev, DOWN_SETS)
 
 
 #: Columns computed by a search's first row extension; each later one
@@ -538,13 +522,7 @@ def greater_equal(
     carries both for auditing.  The score rows the search computes are
     kept in ``evaluator`` for later searches that pass the same one.
     """
-    sound = _sound_ge(g, h)
-    if sound is not None:
-        return sound
-    hit = find_ge_refutation(g, h, universe(spec), evaluator)
-    if hit is not None:
-        return Refuted(*hit)
-    return Unrefuted(spec)
+    return _verdict(_sound_ge(g, h), g, h, spec, evaluator, _GE_TEST)
 
 
 def less_equal(
@@ -554,10 +532,21 @@ def less_equal(
     evaluator: Optional[SumEvaluator] = None,
 ) -> Verdict:
     """Three-valued g <= h, over the four down-sets."""
-    sound = _sound_le(g, h)
+    return _verdict(_sound_ge(h, g), g, h, spec, evaluator, _LE_TEST)
+
+
+def _verdict(
+    sound: Optional[Proved],
+    g: GameTerm,
+    h: GameTerm,
+    spec: UniverseSpec,
+    evaluator: Optional[SumEvaluator],
+    test,
+) -> Verdict:
+    """The sound proof, else the first refutation ``test`` finds, else Unrefuted."""
     if sound is not None:
         return sound
-    hit = find_le_refutation(g, h, universe(spec), evaluator)
+    hit = _first_refutation(g, h, universe(spec), evaluator, test)
     if hit is not None:
         return Refuted(*hit)
     return Unrefuted(spec)

@@ -19,7 +19,6 @@ __all__ = [
     "outcome_from_scores",
     "outcome",
     "membership",
-    "clear_score_caches",
 ]
 
 
@@ -71,6 +70,9 @@ _SET_TESTS = {
     OutcomeSet.R_LE: lambda sl, sr: sr <= 0,
 }
 
+#: Final scores live on the term (``GameTerm.sl`` and ``sr``), so this
+#: stays empty; it is kept because perfbench/worker.py reads its size as
+#: the per-layer count ``score.positions_evaluated``.
 _finals: dict[GameTerm, tuple[Score, Score]] = {}
 
 
@@ -79,29 +81,18 @@ def final_scores(g: GameTerm) -> tuple[Score, Score]:
 
     A player to move with no options ends the game at the current vertex
     score; otherwise Left picks the option maximizing the opponent's final
-    score and Right the one minimizing it.  Memoized on term identity.
+    score and Right the one minimizing it.  Computed once, when ``game()``
+    interns the term.
     """
-    cached = _finals.get(g)
-    if cached is None:
-        if g.left:
-            sl = max(final_scores(o)[1] for o in g.left)
-        else:
-            sl = g.score
-        if g.right:
-            sr = min(final_scores(o)[0] for o in g.right)
-        else:
-            sr = g.score
-        cached = (sl, sr)
-        _finals[g] = cached
-    return cached
+    return g.sl, g.sr
 
 
 def left_final_score(g: GameTerm) -> Score:
-    return final_scores(g)[0]
+    return g.sl
 
 
 def right_final_score(g: GameTerm) -> Score:
-    return final_scores(g)[1]
+    return g.sr
 
 
 def set_holds(o: OutcomeSet, sl: Score, sr: Score) -> bool:
@@ -132,7 +123,3 @@ def outcome(g: GameTerm) -> Outcome:
 
 def membership(g: GameTerm, o: OutcomeSet) -> bool:
     return set_holds(o, *final_scores(g))
-
-
-def clear_score_caches() -> None:
-    _finals.clear()

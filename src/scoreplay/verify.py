@@ -528,7 +528,7 @@ def verify_cong_probe(spec: UniverseSpec) -> SuiteResult:
     ev = SumEvaluator()
     from .core import _esig
 
-    classes: dict[tuple, list[GameTerm]] = {}
+    classes: dict[int, list[GameTerm]] = {}
     for g in games:
         classes.setdefault(_esig(g), []).append(g)
     canonical_cache: dict[GameTerm, bool] = {}

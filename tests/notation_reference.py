@@ -1,7 +1,8 @@
-"""Reference bracket-notation parser and printer for differential tests.
+"""Reference bracket-notation parser, printer and records for differential tests.
 
-This is the straightforward recursive-descent parser and recursive
-printer that ``scoreplay.notation.parse`` and ``scoreplay.core.render``
+This is the straightforward recursive-descent parser, recursive printer
+and recursive record builder that ``scoreplay.notation.parse``,
+``scoreplay.core.render`` and ``scoreplay.notation.to_structured``
 replaced: one regex match and one span per token, one Python frame per
 grammar rule and per level of a term.  It is kept as written except for
 number conversion, which handles the two literals it used to let escape
@@ -134,3 +135,11 @@ def render(g: GameTerm, full: bool = False) -> str:
     lt = ",".join(render(o, full) for o in g.left) if g.left else "."
     rt = ",".join(render(o, full) for o in g.right) if g.right else "."
     return f"{{{lt}|{g.score}|{rt}}}"
+
+
+def to_structured(g: GameTerm) -> dict:
+    return {
+        "left": [to_structured(o) for o in g.left],
+        "score": str(g.score),
+        "right": [to_structured(o) for o in g.right],
+    }

@@ -227,3 +227,94 @@ def test_caches_are_observationally_transparent():
         equivalent(g, h),
     )
     assert before == after
+
+
+def _reference_esig(g, memo):
+    # The recursive nested-tuple signature that class ids replaced: equal
+    # signatures mean equivalent games.
+    sig = memo.get(g)
+    if sig is None:
+        mark = (1, g.score) if (not g.left or not g.right) else (0, 0)
+        sig = (
+            mark,
+            tuple(sorted(_reference_esig(o, memo) for o in g.left)),
+            tuple(sorted(_reference_esig(o, memo) for o in g.right)),
+        )
+        memo[g] = sig
+    return sig
+
+
+def test_class_ids_match_reference_signatures():
+    from scoreplay import DEFAULT_UNIVERSE, clear_caches, universe
+    from scoreplay.core import _esig
+    from scoreplay.verify import sample_confluence_games
+
+    games = list(universe(DEFAULT_UNIVERSE)) + sample_confluence_games(300, seed=7)
+    memo: dict = {}
+    id_of: dict = {}
+    sig_of: dict = {}
+
+    def check(g):
+        sig, cid = _reference_esig(g, memo), _esig(g)
+        assert id_of.setdefault(sig, cid) == cid
+        assert sig_of.setdefault(cid, sig) == sig
+        return cid
+
+    before = [check(g) for g in games]
+    assert len(id_of) < len(set(games))  # some classes have several games
+    clear_caches()
+    # Recomputed in another order, every game keeps its id.
+    assert [check(g) for g in reversed(games)][::-1] == before
+
+
+def _left_chain(n):
+    # {{...{0|0|.}...|n-1|.}|n|.}: Left moving first steps down to n-1,
+    # where Right has no move; Right moving first ends at once at n.
+    c = leaf(0)
+    for k in range(1, n + 1):
+        c = game([c], k, [])
+    return c
+
+
+def _right_chain(n):
+    # The mirror image with negated scores: finals (-n, -(n-1)).
+    c = leaf(0)
+    for k in range(1, n + 1):
+        c = game([], -k, [c])
+    return c
+
+
+class TestDeepChains:
+    N = 1000
+
+    def test_final_scores(self):
+        from scoreplay import final_scores
+
+        assert final_scores(_left_chain(self.N)) == (self.N - 1, self.N)
+        assert final_scores(_right_chain(self.N)) == (-self.N, 1 - self.N)
+
+    def test_class_ids_and_equivalence(self):
+        from scoreplay.core import _esig
+
+        left, right = _left_chain(self.N), _right_chain(self.N)
+        assert _esig(left) != _esig(right)
+        assert not equivalent(left, right)
+        # Every inner vertex has both options, so its score is forgotten.
+        a = b = leaf(0)
+        for k in range(1, self.N + 1):
+            a = game([a], k, [leaf(0)])
+            b = game([b], -k, [leaf(0)])
+        assert a is not b
+        assert _esig(a) == _esig(b)
+        assert equivalent(a, b)
+
+    def test_greater_equal(self):
+        from scoreplay import (
+            OutcomeSet, Proved, Refuted, SoundRule, Unrefuted, greater_equal,
+        )
+
+        left, right = _left_chain(self.N), _right_chain(self.N)
+        assert isinstance(greater_equal(left, right), Unrefuted)
+        # In the zero context, left + 0 is in L> (999 > 0) and right + 0 not.
+        assert greater_equal(right, left) == Refuted(leaf(0), OutcomeSet.L_GT)
+        assert greater_equal(left, left) == Proved(SoundRule.IDENTICAL)

@@ -281,6 +281,30 @@ class TestStructuredRecords:
         g = parse("{1,{.|1/2|0}|0|.}")
         assert from_structured(json.loads(json.dumps(to_structured(g)))) is g
 
+    @given(terms())
+    def test_records_match_reference(self, g):
+        assert to_structured(g) == reference.to_structured(g)
+
+    def test_deep_chain_record(self):
+        c = leaf(0)
+        for k in range(1, 1001):
+            c = game([c], k, [])
+        rec = to_structured(c)
+        for k in range(1000, 0, -1):  # walked in a loop: == would recurse
+            assert rec["score"] == str(k) and rec["right"] == []
+            (rec,) = rec["left"]
+        assert rec == {"left": [], "score": "0", "right": []}
+
+    def test_round_trip_up_to_nesting_limit(self):
+        from scoreplay.notation import MAX_NESTING
+
+        c = leaf(1)
+        for depth in range(1, MAX_NESTING + 1):
+            c = game([leaf(-1)], depth, [c])
+            assert from_structured(to_structured(c)) is c
+        shared = add(parse("{1|0|{.|2|-1}}"), parse("{{1|-1|.}|0|2}"))
+        assert from_structured(to_structured(shared)) is shared
+
     def test_unknown_field_rejected(self):
         with pytest.raises(RecordError):
             from_structured({"left": [], "score": "0", "right": [], "x": 1})

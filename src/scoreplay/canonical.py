@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-from .core import GameTerm, NodePath, Side, game
+from .core import GameTerm, NodePath, Side, _postorder, game
 from .order import (
     Refuted,
     UniverseSpec,
@@ -180,19 +180,11 @@ def _candidates(
 
 
 def _apply(g: GameTerm, step: ReductionStep) -> GameTerm:
-    if step.kind is ReductionKind.DOMINATION:
-        if step.side is Side.LEFT:
-            return game(
-                (o for o in g.left if o is not step.removed), g.score, g.right
-            )
-        return game(
-            g.left, g.score, (o for o in g.right if o is not step.removed)
-        )
-    if step.side is Side.LEFT:
-        kept = tuple(o for o in g.left if o is not step.removed)
-        return game(kept + step.witness.left, g.score, g.right)
-    kept = tuple(o for o in g.right if o is not step.removed)
-    return game(g.left, g.score, kept + step.witness.right)
+    left = step.side is Side.LEFT
+    kept = tuple(o for o in (g.left if left else g.right) if o is not step.removed)
+    if step.kind is ReductionKind.REVERSIBILITY:
+        kept += step.witness.left if left else step.witness.right
+    return game(kept, g.score, g.right) if left else game(g.left, g.score, kept)
 
 
 def reduce_step(
@@ -260,10 +252,12 @@ def is_canonical(
     mode: Mode = Mode.SOUND,
     evaluator: Optional[SumEvaluator] = None,
 ) -> bool:
-    """True iff no option anywhere in g is dominated or reversible."""
+    """True iff no option anywhere in g is dominated or reversible.
+
+    Each distinct subterm is checked once, from ``_postorder``.
+    """
     ev = evaluator or SumEvaluator()
-    if dominated_options(g, spec, mode, ev):
-        return False
-    if reversible_options(g, spec, mode, ev):
-        return False
-    return all(is_canonical(o, spec, mode, ev) for o in g.left + g.right)
+    return not any(
+        dominated_options(t, spec, mode, ev) or reversible_options(t, spec, mode, ev)
+        for t in _postorder(g, ())
+    )

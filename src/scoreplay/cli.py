@@ -92,40 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="human-readable text or one JSON record per line")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="final scores, outcome and base sets of a game")
-    p.add_argument("expr")
-
-    p = sub.add_parser("sum", parents=[common],
-                       help="long-rule disjunctive sum of two games")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-
-    p = sub.add_parser("neg", parents=[common], help="negation of a game")
-    p.add_argument("expr")
-
-    p = sub.add_parser("cmp", parents=[common],
-                       help="compare two games: >=, <= and = verdicts")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-
-    p = sub.add_parser("canon", parents=[common],
-                       help="reduce a game to canonical form")
-    p.add_argument("expr")
-
-    sub.add_parser("enum", parents=[common],
-                   help="enumerate the context universe in term order")
-
-    p = sub.add_parser("tf", parents=[common],
-                       help="compile a Toads-and-Frogs strip (T/F/B) and evaluate it")
-    p.add_argument("position")
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a theorem verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--grid", type=int, default=3,
-                   help="half-width of the outcome-template grid")
+    for name, (_, help_line, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        for arg in positionals:
+            p.add_argument(arg)
+    verify = sub.choices["verify"]
+    verify.add_argument("suite", choices=sorted(SUITES))
+    verify.add_argument("--grid", type=int, default=3,
+                        help="half-width of the outcome-template grid")
     return parser
 
 
@@ -294,6 +268,8 @@ def cmd_tf(args, config: RunConfig, out: _Output) -> int:
 
 
 def cmd_verify(args, config: RunConfig, out: _Output) -> int:
+    if args.grid < 0:
+        raise CliError("--grid must be >= 0")
     grid = {"bound": args.grid} if args.suite == "outcome-template" else {}
     result = run_suite(args.suite, config.spec, seed=args.seed, **grid)
     for check in result.checks:
@@ -308,15 +284,18 @@ def cmd_verify(args, config: RunConfig, out: _Output) -> int:
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
+#: Each command's function, help line and plain positional arguments;
+#: build_parser adds the suite choices and ``--grid`` of ``verify``.
 _COMMANDS = {
-    "eval": cmd_eval,
-    "sum": cmd_sum,
-    "neg": cmd_neg,
-    "cmp": cmd_cmp,
-    "canon": cmd_canon,
-    "enum": cmd_enum,
-    "tf": cmd_tf,
-    "verify": cmd_verify,
+    "eval": (cmd_eval, "final scores, outcome and base sets of a game", ("expr",)),
+    "sum": (cmd_sum, "long-rule disjunctive sum of two games", ("expr1", "expr2")),
+    "neg": (cmd_neg, "negation of a game", ("expr",)),
+    "cmp": (cmd_cmp, "compare two games: >=, <= and = verdicts", ("expr1", "expr2")),
+    "canon": (cmd_canon, "reduce a game to canonical form", ("expr",)),
+    "enum": (cmd_enum, "enumerate the context universe in term order", ()),
+    "tf": (cmd_tf, "compile a Toads-and-Frogs strip (T/F/B) and evaluate it",
+           ("position",)),
+    "verify": (cmd_verify, "run a theorem verification suite", ()),
 }
 
 
@@ -334,7 +313,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         config = _config(args)
-        return _COMMANDS[args.command](args, config, _Output(config, out))
+        return _COMMANDS[args.command][0](args, config, _Output(config, out))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -183,28 +183,38 @@ _negate_cache: dict[GameTerm, GameTerm] = {}
 
 
 def negate(g: GameTerm) -> GameTerm:
-    """Swap the players: -G = {-right | -score | -left}, recursively."""
+    """Swap the players: -G = {-right | -score | -left} at every vertex.
+
+    Each distinct subterm is negated once, children first, from
+    ``_postorder``, so depth costs no Python recursion.
+    """
     res = _negate_cache.get(g)
     if res is None:
-        res = game(
-            (negate(o) for o in g.right),
-            -g.score,
-            (negate(o) for o in g.left),
-        )
-        _negate_cache[g] = res
+        for t in _postorder(g, _negate_cache):
+            _negate_cache[t] = game(
+                [_negate_cache[o] for o in t.right],
+                -t.score,
+                [_negate_cache[o] for o in t.left],
+            )
+        res = _negate_cache[g]
     return res
 
 
 def shift(g: GameTerm, c: Score) -> GameTerm:
-    """Add c to every vertex score (test helper for translation laws)."""
+    """Add c to every vertex score (test helper for translation laws).
+
+    Each distinct subterm is shifted once, so the cost follows the shared
+    term, not the tree it spells out.
+    """
     c = as_score(c)
     if c == 0:
         return g
-    return game(
-        (shift(o, c) for o in g.left),
-        g.score + c,
-        (shift(o, c) for o in g.right),
-    )
+    done: dict[GameTerm, GameTerm] = {}
+    for t in _postorder(g, ()):
+        done[t] = game(
+            [done[o] for o in t.left], t.score + c, [done[o] for o in t.right]
+        )
+    return done[g]
 
 
 def subterm_at(g: GameTerm, path: NodePath) -> GameTerm:

@@ -62,10 +62,10 @@ class DuplicateOptionWarning(UserWarning):
 
 #: Deepest brace nesting parse() accepts.  The parser, the printer and
 #: ``to_structured`` work from explicit stacks, and final scores and class
-#: ids are computed without recursion, but ``SumEvaluator``, ``add``,
-#: ``negate`` and ``canonicalize`` still recurse with up to a few Python
-#: frames per level of a term, so a term this deep stays inside the
-#: default recursion limit; deeper input is a ParseError instead of a
+#: ids are computed without recursion, but ``SumEvaluator``, ``add`` and
+#: ``canonicalize`` still recurse with up to a few Python frames per
+#: level of a term, so a term this deep stays inside the default
+#: recursion limit; deeper input is a ParseError instead of a
 #: RecursionError.
 MAX_NESTING = 200
 
@@ -281,14 +281,25 @@ def from_structured(record: Any) -> GameTerm:
     """Inverse of to_structured; raises RecordError on malformed input.
 
     Option records may nest at most ``MAX_NESTING`` deep, the bound
-    parse() puts on braces.
+    parse() puts on braces.  Each distinct record object is decoded once,
+    so records that share sub-records, as to_structured's do, cost the
+    shared term, not the tree they spell out.
     """
-    return _from_record(record, 0)
+    return _from_record(record, 0, {})
 
 
-def _from_record(record: Any, depth: int) -> GameTerm:
+def _from_record(
+    record: Any, depth: int, memo: dict[int, tuple[Any, GameTerm]]
+) -> GameTerm:
+    # The memo keeps each decoded record alive, so no other object takes
+    # its id during the call.
+    hit = memo.get(id(record))
+    if hit is not None:
+        depth += hit[1].depth  # where its deepest sub-record lies
     if depth > MAX_NESTING:
         raise RecordError(f"records nest deeper than {MAX_NESTING}")
+    if hit is not None:
+        return hit[1]
     if not isinstance(record, dict):
         raise RecordError(f"record must be a mapping, got {type(record).__name__}")
     unknown = set(record) - _RECORD_FIELDS
@@ -310,8 +321,10 @@ def _from_record(record: Any, depth: int) -> GameTerm:
     for side in ("left", "right"):
         if not isinstance(record[side], list):
             raise RecordError(f"{side} must be a list")
-    return game(
-        (_from_record(r, depth + 1) for r in record["left"]),
+    term = game(
+        (_from_record(r, depth + 1, memo) for r in record["left"]),
         score,
-        (_from_record(r, depth + 1) for r in record["right"]),
+        (_from_record(r, depth + 1, memo) for r in record["right"]),
     )
+    memo[id(record)] = (record, term)
+    return term

@@ -202,11 +202,6 @@ def enumerate_universe(spec: UniverseSpec) -> Iterator[GameTerm]:
     yield from universe(spec)
 
 
-def _class_key(g: GameTerm) -> Hashable:
-    """Equal for two games exactly when they are ``equivalent``."""
-    return _esig(g)
-
-
 def _registered_table(contexts: Iterable[GameTerm]) -> Optional[ContextTable]:
     """The class table of a universe tuple, or None for any other iterable.
 
@@ -227,7 +222,7 @@ def _registered_table(contexts: Iterable[GameTerm]) -> Optional[ContextTable]:
     for entry in _universe_cache.values():
         if entry.games is contexts:
             if entry.table is None:
-                entry.table = ContextTable(entry.games, _class_key)
+                entry.table = ContextTable(entry.games, _esig)
             return entry.table
     return None
 

@@ -66,29 +66,22 @@ def tf_moves(p: TfPosition, player: Side) -> list[tuple[TfPosition, Score]]:
     Left slides a toad right (delta 0) or jumps one adjacent frog (+1);
     Right mirrors leftward with delta -1.
     """
+    piece, foe, step = ("T", "F", 1) if player is Side.LEFT else ("F", "T", -1)
     cells = p.cells
     n = len(cells)
     out: list[tuple[TfPosition, Score]] = []
-    if player is Side.LEFT:
-        for i, c in enumerate(cells):
-            if c != "T":
+    for i, c in enumerate(cells):
+        if c != piece:
+            continue
+        # Slide onto the next cell, or jump a foe there onto the one beyond.
+        for dest, delta in ((i + step, 0), (i + 2 * step, step)):
+            if not 0 <= dest < n or cells[dest] != "B":
                 continue
-            if i + 1 < n and cells[i + 1] == "B":
-                moved = cells[:i] + ("B", "T") + cells[i + 2:]
-                out.append((TfPosition(moved, p.score), 0))
-            if i + 2 < n and cells[i + 1] == "F" and cells[i + 2] == "B":
-                moved = cells[:i] + ("B", "F", "T") + cells[i + 3:]
-                out.append((TfPosition(moved, p.score + 1), 1))
-    else:
-        for i, c in enumerate(cells):
-            if c != "F":
+            if delta and cells[i + step] != foe:
                 continue
-            if i - 1 >= 0 and cells[i - 1] == "B":
-                moved = cells[:i - 1] + ("F", "B") + cells[i + 1:]
-                out.append((TfPosition(moved, p.score), 0))
-            if i - 2 >= 0 and cells[i - 1] == "T" and cells[i - 2] == "B":
-                moved = cells[:i - 2] + ("F", "T", "B") + cells[i + 1:]
-                out.append((TfPosition(moved, p.score - 1), -1))
+            moved = list(cells)
+            moved[i], moved[dest] = "B", piece
+            out.append((TfPosition(tuple(moved), p.score + delta), delta))
     return out
 
 

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from operator import ne
 from typing import Callable, Optional, Sequence
 
-from .canonical import Mode, canonicalize, reduce_step
-from .core import GameTerm, equivalent, game, identical, leaf, negate
+from .canonical import Mode, canonicalize, is_canonical, reduce_step
+from .core import GameTerm, _esig, equivalent, game, identical, leaf, negate
 from .order import (
     ContextTable,
     UniverseSpec,
     _extend_rows,
+    _sound_ge,
     duality_check,
     find_eq_refutation,
     find_ge_refutation,
@@ -36,7 +37,6 @@ from .score import (
     set_holds,
 )
 from .sums import SumEvaluator, add, distinguishing_context, is_numeric, outcome_template, zero
-from .canonical import is_canonical
 
 __all__ = [
     "Check",
@@ -187,8 +187,6 @@ def verify_partial_order(
     # Transitivity at the sound level: chains of proved facts may not be
     # refutable.  Sound >= facts are equivalences and numeric order, so
     # build chains from both.
-    from .order import _sound_ge  # local import to keep the public surface tidy
-
     leaves = [g for g in sample if is_numeric(g)]
     leaves.sort(key=lambda t: t.score)
     chains = []
@@ -447,21 +445,12 @@ def _random_term(rng: random.Random, max_depth: int, max_width: int,
 
 
 def _equivalent_variant(t: GameTerm, rng: random.Random) -> GameTerm:
-    # Bump the score at some vertex where both players still have options;
-    # such a change never reaches a final tally, so the variant stays
-    # equivalent to t.
+    # Often bump t's score when both players have options at t; such a
+    # score never reaches a final tally, so the variant stays equivalent
+    # to t.  The sampler passes options of depth <= 1, whose own options
+    # are leaves, so t is the only vertex worth bumping.
     if t.left and t.right and rng.random() < 0.6:
         return game(t.left, t.score + 1, t.right)
-    for side_opts, rebuild in (
-        (t.left, lambda new: game(new, t.score, t.right)),
-        (t.right, lambda new: game(t.left, t.score, new)),
-    ):
-        for i, o in enumerate(side_opts):
-            v = _equivalent_variant(o, rng)
-            if v is not o:
-                new = list(side_opts)
-                new[i] = v
-                return rebuild(new)
     return t
 
 
@@ -526,7 +515,6 @@ def verify_cong_probe(spec: UniverseSpec) -> SuiteResult:
     res = SuiteResult("cong-probe")
     games = universe(spec)
     ev = SumEvaluator()
-    from .core import _esig
 
     classes: dict[int, list[GameTerm]] = {}
     for g in games:

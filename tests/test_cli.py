@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -202,6 +204,13 @@ class TestVerify:
         code, _ = run_cli("verify", "no-such-suite")
         assert code == 2
 
+    def test_negative_grid_is_a_usage_error(self, capsys):
+        code, out = run_cli("verify", "outcome-template", "--grid", "-1")
+        assert (code, out) == (2, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid" in captured.err
+
     def test_violation_exit_code_mapping(self):
         # exit 1 is reserved for suites that find a violation; fabricate
         # one through the same reporting path
@@ -281,3 +290,27 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert "outcome=T" in out.stdout
+
+
+# sha256 of the help texts at 80 columns, pinned so that changes to how
+# the parser is built leave what it prints byte-identical.
+HELP_SHA256 = {
+    None: "d5a4e2f7b4db399ce8b82cdcbf5fdeed12522a0dbd2cf539b5902fd5a252600d",
+    "eval": "de1994797786610e1ca5f8b0bf02bcfead2d86586157230f76bc07bd81889dee",
+    "sum": "9ff46111698c808ce5ce8ea06f7824d06f833866d2275424b733654d7e68858e",
+    "neg": "29c4e23dc2175445f5ae9918764a4244885bd8a48aa9d3ea0a4e86fc90737efc",
+    "cmp": "071a4fccb70df87810cdd5fe76853b2624d3e234ca4e809806b7dfb4e4b5b13f",
+    "canon": "f0ebb73c5d47a396e2fc7923c4ecdbb3134fd22dffee619564b9a4ea6532af92",
+    "enum": "3f0540e1dadfc095a6c7e70dd7179a4397b0f47b0d38fe0fb654ce0303c374a4",
+    "tf": "3d2ed42620318d978e9a869b265c22281163b22e6240305e49e981b55168d1d2",
+    "verify": "7623ababc99493b8ccf7a0130cf11cf79459a7923ae56664184242c1a2f51304",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command], text

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,21 @@ def test_max_abs_score_walks_shared_subterms_once():
     assert max_abs_score(s) == 2
 
 
+def test_shift_and_is_canonical_walk_shared_subterms_once():
+    from scoreplay import DEFAULT_UNIVERSE, add, is_canonical
+
+    c = leaf(1)
+    for _ in range(20):
+        c = game([c], 0, [])
+    s = add(c, c)  # about 3.3e10 tree nodes over 231 distinct subterms
+    start = time.perf_counter()
+    shifted = shift(s, 1)
+    assert (shifted.score, max_abs_score(shifted)) == (1, 3)
+    assert shift(shifted, -1) is s
+    assert is_canonical(s, DEFAULT_UNIVERSE)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_caches_are_observationally_transparent():
     from scoreplay import add, clear_caches, final_scores, outcome
 
@@ -318,3 +334,19 @@ class TestDeepChains:
         # In the zero context, left + 0 is in L> (999 > 0) and right + 0 not.
         assert greater_equal(right, left) == Refuted(leaf(0), OutcomeSet.L_GT)
         assert greater_equal(left, left) == Proved(SoundRule.IDENTICAL)
+
+    def test_negate_and_shift(self):
+        from scoreplay import final_scores
+
+        left, right = _left_chain(self.N), _right_chain(self.N)
+        assert negate(left) is right
+        for c in (left, right):
+            assert negate(negate(c)) is c
+            assert shift(shift(c, 1), -1) is c
+        assert final_scores(shift(left, 1)) == (self.N, self.N + 1)
+
+    def test_is_canonical(self):
+        from scoreplay import DEFAULT_UNIVERSE, is_canonical
+
+        assert is_canonical(_left_chain(self.N), DEFAULT_UNIVERSE)
+        assert is_canonical(_right_chain(self.N), DEFAULT_UNIVERSE)

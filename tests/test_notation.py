@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -336,3 +337,38 @@ class TestStructuredRecords:
         for depth in (MAX_NESTING + 1, 1000):
             with pytest.raises(RecordError, match="nest deeper"):
                 from_structured(nested(depth))
+
+    def test_shared_records_decode_once(self):
+        c = leaf(1)
+        for _ in range(20):
+            c = game([c], 0, [])
+        s = add(c, c)  # about 3.3e10 tree nodes over 231 distinct subterms
+        rec = to_structured(s)
+        start = time.perf_counter()
+        assert from_structured(rec) is s
+        assert time.perf_counter() - start < 1.0
+
+    def test_nesting_limit_counts_shared_records_at_each_depth(self):
+        from scoreplay.notation import MAX_NESTING
+
+        c = leaf(1)
+        for _ in range(150):
+            c = game([c], 0, [])
+        inner = to_structured(c)
+
+        def wrapped(times):
+            # inner first at depth 1, then again at depth times + 1
+            rec = inner
+            for _ in range(times):
+                rec = {"left": [rec], "score": "0", "right": []}
+            return {"left": [inner, rec], "score": "0", "right": []}
+
+        assert from_structured(wrapped(MAX_NESTING - 151)).depth == MAX_NESTING
+        with pytest.raises(RecordError, match="nest deeper"):
+            from_structured(wrapped(MAX_NESTING - 150))
+
+    def test_record_containing_itself_is_a_record_error(self):
+        rec = {"left": [], "score": "0", "right": []}
+        rec["left"].append(rec)
+        with pytest.raises(RecordError, match="nest deeper"):
+            from_structured(rec)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from scoreplay import (
@@ -6,6 +8,7 @@ from scoreplay import (
     leaf,
     outcome,
     outcome_template,
+    render,
     universe,
 )
 from scoreplay.score import outcome_from_scores
@@ -81,6 +84,36 @@ def test_confluence_suite_and_sampler_determinism():
     res = verify_confluence(DEFAULT, n_games=120, seed=3)
     assert res.passed
     assert "reduced=" in res.checks[0].details
+
+
+# sha256 of the rendered sampler output, pinned: the benchmark's build
+# requests are generated from these games.
+SAMPLER_SHA256 = {
+    0: "7e7bfdab8ea4913f17955109def9358ab5f4275a64bd6b5471a71d96fcc02477",
+    1: "3809067ca801058ab28de9aad7f7edae51b0ee77872d46affaf9ce6d3727822b",
+    21: "dc85b7dd681c113a8e71d66ac17943614daecb31ea6ad90f83036fc3b01e9c5d",
+}
+
+
+@pytest.mark.parametrize("seed", list(SAMPLER_SHA256))
+def test_confluence_sampler_output_is_unchanged(seed):
+    text = "\n".join(render(g) for g in sample_confluence_games(2000, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLER_SHA256[seed]
+
+
+def test_internals_read_by_the_benchmark_exist():
+    # perfbench counts the growth of these caches and wraps these entry
+    # points when it traces a run.
+    from scoreplay import canonical, core, rulesets, score, sums
+
+    for module, name in (
+        (core, "_interned"), (sums, "_add_cache"),
+        (score, "_finals"), (rulesets, "_tf_cache"),
+    ):
+        assert isinstance(getattr(module, name), dict), name
+    assert "final_scores" in SumEvaluator.__dict__
+    assert isinstance(SumEvaluator()._memo, dict)
+    assert "reduce_step" in canonical.__all__
 
 
 def test_cong_probe_suite():

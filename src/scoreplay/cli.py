@@ -43,6 +43,10 @@ EXIT_USAGE = 2
 #: exponential size; above this it is a usage error instead.
 MAX_PRINT_NODES = 2_000_000
 
+#: Largest ``verify outcome-template --grid``.  The sweep visits
+#: (2N+1)^8 grid points: 43 million at 4, 214 million at 5.
+MAX_GRID = 4
+
 
 class CliError(Exception):
     """Bad input or configuration; maps to exit code 2."""
@@ -270,6 +274,8 @@ def cmd_tf(args, config: RunConfig, out: _Output) -> int:
 def cmd_verify(args, config: RunConfig, out: _Output) -> int:
     if args.grid < 0:
         raise CliError("--grid must be >= 0")
+    if args.grid > MAX_GRID:
+        raise CliError(f"--grid must be <= {MAX_GRID}")
     grid = {"bound": args.grid} if args.suite == "outcome-template" else {}
     result = run_suite(args.suite, config.spec, seed=args.seed, **grid)
     for check in result.checks:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
     GameTerm, Score, as_score, equivalent, game, leaf, render, _esig, _postorder,
@@ -107,13 +107,19 @@ class ContextTable:
     ``contexts[p]``; ``firsts`` lists, in increasing order, the first
     position p of each id in ``order``.
 
-    Contexts with equal ``key`` share the id of the first of them; the
-    table is built over those first members and their subterms only.
-    Without a key every distinct game is its own class.  A universe is
-    keyed by equivalence class (see ``_registered_table``), and in the
-    universes tested the subterms of first members are first members
-    too, so the table has one id per class: 380 ids for the 1,280 games
-    of ``DEFAULT_UNIVERSE``, 7,205 for the 163,805 of depth 2, width 1.
+    Equivalent contexts share the id of the first of them, and the table
+    is built over those first members and their subterms only.  This
+    loses nothing: if X and X' are equivalent then g+X and g+X' have the
+    same final scores for every g.  Their trees are isomorphic, and so
+    are the trees of g+X and g+X'.  Under the long rule a play of g+X
+    ends only where the mover has no move in either component, so X's
+    component sits at a vertex missing an option, a termination vertex,
+    whose score the isomorphic vertex of X' shares; every end of play
+    has the same score in both sums, and by induction so does every
+    minimax value.  In the universes tested the subterms of first
+    members are first members too, so the table has one id per class:
+    380 ids for the 1,280 games of ``DEFAULT_UNIVERSE``, 7,205 for the
+    163,805 of depth 2, width 1.
     """
 
     __slots__ = (
@@ -121,14 +127,10 @@ class ContextTable:
         "final_left", "final_right",
     )
 
-    def __init__(
-        self,
-        contexts: Iterable[GameTerm],
-        key: Optional[Callable[[GameTerm], Hashable]] = None,
-    ) -> None:
+    def __init__(self, contexts: Iterable[GameTerm]) -> None:
         self.contexts = tuple(contexts)
-        keys = self.contexts if key is None else [key(x) for x in self.contexts]
-        first: dict[Hashable, int] = {}
+        keys = [_esig(x) for x in self.contexts]
+        first: dict[int, int] = {}
         for p, k in enumerate(keys):
             first.setdefault(k, p)
         index: dict[GameTerm, int] = {}
@@ -205,24 +207,13 @@ def enumerate_universe(spec: UniverseSpec) -> Iterator[GameTerm]:
 def _registered_table(contexts: Iterable[GameTerm]) -> Optional[ContextTable]:
     """The class table of a universe tuple, or None for any other iterable.
 
-    The table has one context id per equivalence class, that of the
-    class's first game in term order, and ``order`` maps every game of
-    the universe to it.  This loses nothing: if X and X' are equivalent
-    then g+X and g+X' have the same final scores for every g.  Their
-    trees are isomorphic, and so are the trees of g+X and g+X'.  Under
-    the long rule a play of g+X ends only where the mover has no move
-    in either component, so X's component sits at a vertex missing an
-    option, a termination vertex, whose score the isomorphic vertex of
-    X' shares; every end of play has the same score in both sums, and
-    by induction so does every minimax value.
-
     It is built by the universe's first search, not by universe(), so
     enumerating stays as cheap as before.
     """
     for entry in _universe_cache.values():
         if entry.games is contexts:
             if entry.table is None:
-                entry.table = ContextTable(entry.games, _esig)
+                entry.table = ContextTable(entry.games)
             return entry.table
     return None
 
@@ -413,20 +404,6 @@ _GE_TEST = _set_test(UP_SETS)
 _LE_TEST = _set_test(DOWN_SETS)
 
 
-def _table_rows(
-    contexts: Iterable[GameTerm], ev: Optional[SumEvaluator]
-) -> tuple[ContextTable, dict[GameTerm, _Rows]]:
-    """The table to scan ``contexts`` on and the score rows to extend.
-
-    A universe tuple has its registered table, with rows kept in ev;
-    any other iterable gets a throwaway table and rows.
-    """
-    table = _registered_table(contexts)
-    if table is None:
-        return ContextTable(contexts), {}
-    return table, ev.context_rows(table) if ev is not None else {}
-
-
 def _first_refutation(
     g: GameTerm,
     h: GameTerm,
@@ -436,13 +413,19 @@ def _first_refutation(
 ):
     """First context, in the caller's order, where test(g+x, h+x) hits.
 
-    Returns (x, hit) or None.  The scores come from rows over the
-    context table of ``_table_rows``, extended only as far as the scan.
-    Each id is tested once, at its first position: a later position of
-    the same id has the same scores, so it can only hit where an earlier
-    one already has, and the first hit is that of a full scan.
+    Returns (x, hit) or None.  The scores come from rows over a context
+    table, extended only as far as the scan: a universe tuple has its
+    registered table, with rows kept in ev, and any other iterable gets
+    a throwaway table and rows.  Each id is tested once, at its first
+    position: a later position of the same id has the same scores, so it
+    can only hit where an earlier one already has, and the first hit is
+    that of a full scan.
     """
-    table, rows = _table_rows(contexts, ev)
+    table = _registered_table(contexts)
+    if table is None:
+        table, rows = ContextTable(contexts), {}
+    else:
+        rows = ev.context_rows(table) if ev is not None else {}
     size = len(table)
     order = table.order
     done = 0
@@ -457,20 +440,6 @@ def _first_refutation(
         if hit is not None:
             return table.contexts[p], hit
     return None
-
-
-def _refutation_flags(
-    g: GameTerm,
-    h: GameTerm,
-    contexts: Iterable[GameTerm],
-    ev: Optional[SumEvaluator],
-    test,
-) -> list[bool]:
-    """Whether test(g+x, h+x) hits, for every context x in the caller's order."""
-    table, rows = _table_rows(contexts, ev)
-    slg, srg = _extend_rows(g, table, rows, len(table))
-    slh, srh = _extend_rows(h, table, rows, len(table))
-    return [test(slg[i], srg[i], slh[i], srh[i]) is not None for i in table.order]
 
 
 def find_ge_refutation(
@@ -538,13 +507,17 @@ def _verdict(
     evaluator: Optional[SumEvaluator],
     test,
 ) -> Verdict:
-    """The sound proof, else the first refutation ``test`` finds, else Unrefuted."""
+    """The sound proof, else the first refutation ``test`` finds, else Unrefuted.
+
+    A hit of ``_outcome_test`` is ``True`` and carries no witness set.
+    """
     if sound is not None:
         return sound
     hit = _first_refutation(g, h, universe(spec), evaluator, test)
-    if hit is not None:
-        return Refuted(*hit)
-    return Unrefuted(spec)
+    if hit is None:
+        return Unrefuted(spec)
+    x, o = hit
+    return Refuted(x, None if o is True else o)
 
 
 def equal(
@@ -553,15 +526,16 @@ def equal(
     spec: UniverseSpec = DEFAULT_UNIVERSE,
     evaluator: Optional[SumEvaluator] = None,
 ) -> Verdict:
-    """Three-valued g = h: same outcome in every context."""
-    if g is h:
-        return Proved(SoundRule.IDENTICAL)
-    if equivalent(g, h):
-        return Proved(SoundRule.EQUIVALENT)
-    x = find_eq_refutation(g, h, universe(spec), evaluator)
-    if x is not None:
-        return Refuted(x)
-    return Unrefuted(spec)
+    """Three-valued g = h: same outcome in every context.
+
+    It is proved when the sound rules prove both g >= h and h >= g.  That
+    suffices: mutual >= puts g+X in each of the four up-sets exactly when
+    h+X is, for every X.  Those sets fix the signs of SL and SR, and the
+    signs fix the outcome.
+    """
+    return _verdict(
+        _sound_ge(g, h) and _sound_ge(h, g), g, h, spec, evaluator, _outcome_test
+    )
 
 
 def duality_check(
@@ -574,10 +548,15 @@ def duality_check(
 
     Since every up-set is the complement of a down-set, the two searches
     must flag the same contexts; this executes that theorem on the
-    enumerated universe, column by column on the score rows of g and h.
+    enumerated universe with one scan of the score rows of g and h,
+    which stops at the first context where exactly one search hits.
     """
-    contexts = universe(spec)
-    ev = evaluator or SumEvaluator()
-    return _refutation_flags(g, h, contexts, ev, _GE_TEST) == _refutation_flags(
-        h, g, contexts, ev, _LE_TEST
-    )
+
+    def one_hits(slg: Score, srg: Score, slh: Score, srh: Score):
+        if (_GE_TEST(slg, srg, slh, srh) is None) != (
+            _LE_TEST(slh, srh, slg, srg) is None
+        ):
+            return True
+        return None
+
+    return _first_refutation(g, h, universe(spec), evaluator, one_hits) is None

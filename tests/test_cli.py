@@ -211,6 +211,33 @@ class TestVerify:
         assert captured.out == ""
         assert "--grid" in captured.err
 
+    def test_grid_above_the_bound_is_a_usage_error(self, monkeypatch, capsys):
+        import scoreplay.cli as cli_mod
+        from scoreplay.verify import SuiteResult
+
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli_mod, "run_suite", never)
+        code, out = run_cli("verify", "outcome-template", "--grid", "5")
+        assert (code, out) == (2, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid must be <= 4" in captured.err
+
+        calls = []
+
+        def passing(suite, spec, **kwargs):
+            calls.append(kwargs)
+            return SuiteResult(suite)
+
+        monkeypatch.setattr(cli_mod, "run_suite", passing)
+        code, out = run_cli("verify", "outcome-template", "--grid", "4")
+        assert code == 0
+        assert calls == [{"seed": 0, "bound": 4}]
+        assert "suite outcome-template: PASS" in out
+        assert cli_mod.MAX_GRID == 4
+
     def test_violation_exit_code_mapping(self):
         # exit 1 is reserved for suites that find a violation; fabricate
         # one through the same reporting path
@@ -314,3 +341,42 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
     assert main(argv) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command], text
+
+
+# Fixed cmp pairs covering every Proved rule, Refuted with each witness
+# set and with none, and Unrefuted; sha256 of the concatenated output of
+# all of them, pinned so that changes to how verdicts are reached leave
+# what cmp prints byte-identical.
+CMP_GUARD_PAIRS = [
+    ("{0,-1|0|1,-1}", "{0,-1|-2|1,-1}"), ("{1|2|0,2}", "{1|2|0,2}"),
+    ("{0|1|0,1}", "{-2|1|0,2}"), ("{1,-2|-1|0}", "{0,-1|2|0}"),
+    ("{0,2|0|1}", "{2|1|1,-2}"), ("{2|-2|1,2}", "{1,-2|1|0,1}"),
+    ("{-1|1|0,-2}", "{0,2|2|2}"), ("{1|-2|-2}", "{1,-2|-2|1,-2}"),
+    ("1", "1/2"), ("1/2", "1"),
+    ("{.|-1|0,1}", "{0,1|2|-1,-2}"), ("{-2|1|2,-2}", "{0,-1|-1|1,-2}"),
+    ("{0,2|0|0}", "{-1|-1|1}"), ("{2,-2|0|2,-2}", "{-1,2|-2|0}"),
+    ("0", "1"), ("1", "0"), ("0", "0"), ("{.|-2|.}", "2"),
+    ("{1|1|1}", "{1|0|1}"), ("{2|0|.}", "{1|0|.}"), ("{1|0|.}", "{2|0|.}"),
+    ("{{3|0|4},{3|1|4}|0|.}", "{3|0|4}"), ("{1|0|0}", "0"),
+    ("{1|0|.}", "{.|0|-1}"), ("{.|-3/2|.}", "1/3"), ("{1/2|0|-1/2}", "0"),
+    ("{{1|0|0}|0|.}", "{1|0|.}"), ("{.|0|{0|0|-1}}", "{.|0|-1}"),
+    ("{{2|1|0}|0|{0|-1|-2}}", "{{2|1|0}|5|{0|-1|-2}}"), ("{0|0|0}", "0"),
+    ("{.|0|.}", "0"), ("{1,2|0|-1,-2}", "{2|0|-2}"), ("{0|1|.}", "{.|1|0}"),
+    ("{-1|0|1}", "{1|0|-1}"), ("{2,-1|1|.}", "{.|-1|2,-1}"),
+    ("{1|-1|.}", "{.|1|-1}"), ("{2|2|2}", "2"), ("{-2|-2|-2}", "{-2|0|-2}"),
+    ("{0,1,2|0|0}", "{0|0|0,-1}"), ("{{1|0|-1}|1|{1|0|-1}}", "{0|1|0}"),
+]
+CMP_GUARD_SHA256 = {
+    "text": "55be46b50d43004a42667b7d64604b79922c0cb3d0ddc27c4ef5dfa8344fdf58",
+    "jsonl": "ccef617ab840051f72252f7425c34c087bd8ad28fc6b94993cd995ca24604efa",
+}
+
+
+@pytest.mark.parametrize("fmt", list(CMP_GUARD_SHA256))
+def test_cmp_output_on_guard_pairs_is_unchanged(fmt):
+    text = ""
+    for g, h in CMP_GUARD_PAIRS:
+        code, out = run_cli("cmp", g, h, "--format", fmt)
+        assert code == 0, (g, h)
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == CMP_GUARD_SHA256[fmt], text

@@ -159,6 +159,42 @@ class TestEqual:
             assert v == Proved(SoundRule.IDENTICAL)
 
 
+def _reference_equal(g, h, spec, ev):
+    """equal with its own identity and equivalence checks, not _sound_ge."""
+    if g is h:
+        return Proved(SoundRule.IDENTICAL)
+    if equivalent(g, h):
+        return Proved(SoundRule.EQUIVALENT)
+    x = find_eq_refutation(g, h, universe(spec), ev)
+    if x is not None:
+        return Refuted(x)
+    return Unrefuted(spec)
+
+
+class TestEqualThroughSoundGe:
+    @pytest.mark.parametrize("spec", [TINY, DEFAULT_UNIVERSE])
+    def test_matches_reference_and_mutual_ge(self, spec):
+        games = universe(spec)
+        if spec is TINY:
+            pairs = [(g, h) for g in games for h in games]
+        else:
+            rng = random.Random(3000)
+            pairs = [(rng.choice(games), rng.choice(games)) for _ in range(3000)]
+        ev = SumEvaluator()
+        kinds = set()
+        for g, h in pairs:
+            v = equal(g, h, spec, ev)
+            assert v == _reference_equal(g, h, spec, ev), (g, h)
+            ge = greater_equal(g, h, spec, ev)
+            le = less_equal(g, h, spec, ev)
+            assert isinstance(v, Proved) == (
+                isinstance(ge, Proved) and isinstance(le, Proved)
+            ), (g, h)
+            kinds.add(v.rule if isinstance(v, Proved) else type(v))
+        assert {SoundRule.IDENTICAL, SoundRule.EQUIVALENT, Refuted,
+                Unrefuted} <= kinds
+
+
 class TestDuality:
     def test_shared_witness(self):
         assert duality_check(leaf(0), leaf(1))
@@ -369,9 +405,27 @@ class TestContextKernel:
         g, h = leaf(0), leaf(1)
         assert _kernel_first_hits(g, h, lambda: [], None) == (None, None, None)
 
+    def test_any_table_has_one_id_per_class(self, small_universe):
+        contexts = list(small_universe)
+        table = ContextTable(contexts)
+        assert len(set(table.order)) == len({_esig(x) for x in contexts})
+        assert len(set(table.order)) < len(contexts)
+
+    def test_list_searches_match_universe_searches(self, small_universe):
+        contexts = list(small_universe)
+        pool = contexts + _deep_games()[:10]
+        rng = random.Random(147)
+        ev = SumEvaluator()
+        for _ in range(40):
+            g, h = rng.choice(pool), rng.choice(pool)
+            assert _kernel_first_hits(g, h, lambda: contexts, ev) == (
+                _kernel_first_hits(g, h, lambda: small_universe, ev)
+            )
+
     def test_rows_equal_pairwise_evaluator(self, small_universe):
         table = ContextTable(small_universe)
-        assert table.order == list(range(len(small_universe)))
+        for x, i in zip(small_universe, table.order):
+            assert equivalent(table.games[i], x)
         ev = SumEvaluator()
         for g in _deep_games()[:8] + _fraction_games()[::9]:
             sl, sr = _extend_rows(g, table, {}, len(table))

@@ -47,6 +47,10 @@ MAX_PRINT_NODES = 2_000_000
 #: (2N+1)^8 grid points: 43 million at 4, 214 million at 5.
 MAX_GRID = 4
 
+#: Smallest ``--grid`` whose sweep realizes all 125 outcome triples;
+#: grids 0, 1 and 2 realize 1, 106 and 121 of them.
+_MIN_GRID = 3
+
 
 class CliError(Exception):
     """Bad input or configuration; maps to exit code 2."""
@@ -214,7 +218,9 @@ def _verdict_fields(v) -> dict:
 def cmd_cmp(args, config: RunConfig, out: _Output) -> int:
     g = _parse_expr(args.expr1)
     h = _parse_expr(args.expr2)
-    ev = SumEvaluator()  # the rows of g and h serve all three searches
+    # Games of the universe are decided from its cached class masks; the
+    # rows of any other g or h are kept here for all three searches.
+    ev = SumEvaluator()
     for rel, fn in ((">=", greater_equal), ("<=", less_equal), ("=", equal)):
         v = fn(g, h, config.spec, ev)
         out.text(f"{rel} {v}")
@@ -274,6 +280,11 @@ def cmd_tf(args, config: RunConfig, out: _Output) -> int:
 def cmd_verify(args, config: RunConfig, out: _Output) -> int:
     if args.grid < 0:
         raise CliError("--grid must be >= 0")
+    if args.grid < _MIN_GRID:
+        raise CliError(
+            f"--grid must be >= {_MIN_GRID}: smaller grids cannot realize "
+            "all 125 outcome triples"
+        )
     if args.grid > MAX_GRID:
         raise CliError(f"--grid must be <= {MAX_GRID}")
     grid = {"bound": args.grid} if args.suite == "outcome-template" else {}

@@ -105,7 +105,8 @@ class ContextTable:
     ``final_right[i]`` its final scores played alone.  ``contexts`` is
     the caller's sequence and ``order[p]`` the id that stands for
     ``contexts[p]``; ``firsts`` lists, in increasing order, the first
-    position p of each id in ``order``.
+    position p of each id in ``order``, and ``first_of`` maps each
+    context's ``_esig`` class id to that first position.
 
     Equivalent contexts share the id of the first of them, and the table
     is built over those first members and their subterms only.  This
@@ -123,8 +124,8 @@ class ContextTable:
     """
 
     __slots__ = (
-        "contexts", "order", "firsts", "games", "scores", "left", "right",
-        "final_left", "final_right",
+        "contexts", "order", "firsts", "first_of", "games", "scores", "left",
+        "right", "final_left", "final_right",
     )
 
     def __init__(self, contexts: Iterable[GameTerm]) -> None:
@@ -147,6 +148,7 @@ class ContextTable:
         ids = {k: index[self.contexts[p]] for k, p in first.items()}
         self.order = [ids[k] for k in keys]
         self.firsts = tuple(first.values())
+        self.first_of = first
 
     def _append(self, t: GameTerm, index: dict[GameTerm, int]) -> None:
         self.games.append(t)
@@ -160,14 +162,28 @@ class ContextTable:
         return len(self.games)
 
 
-class _Universe:
-    """A registry entry: the enumerated games and, once searched, their table."""
+#: Sign masks of one class over a table: SL > 0, SL >= 0, SR > 0 and
+#: SR >= 0, the tests of UP_SETS in order (see ``_class_masks``).
+_Masks = tuple[int, int, int, int]
 
-    __slots__ = ("games", "table")
+
+class _Universe:
+    """A registry entry: the enumerated games and, once searched, their
+    table and the sign masks of the classes compared so far."""
+
+    __slots__ = ("games", "table", "masks")
 
     def __init__(self, games: tuple[GameTerm, ...]) -> None:
         self.games = games
         self.table: Optional[ContextTable] = None
+        # Keyed by ``_esig`` class id; only classes of the table get an
+        # entry, so it never holds more than len(table) of them.
+        self.masks: dict[int, _Masks] = {}
+
+    def context_table(self) -> ContextTable:
+        if self.table is None:
+            self.table = ContextTable(self.games)
+        return self.table
 
 
 _universe_cache: dict[UniverseSpec, _Universe] = {}
@@ -175,6 +191,10 @@ _universe_cache: dict[UniverseSpec, _Universe] = {}
 
 def universe(spec: UniverseSpec) -> tuple[GameTerm, ...]:
     """The full universe as a tuple, sorted by term order (cached)."""
+    return _universe_entry(spec).games
+
+
+def _universe_entry(spec: UniverseSpec) -> _Universe:
     entry = _universe_cache.get(spec)
     if entry is None:
         size = universe_size(spec)
@@ -196,7 +216,7 @@ def universe(spec: UniverseSpec) -> tuple[GameTerm, ...]:
             ]
         entry = _Universe(tuple(sorted(pool, key=lambda t: t.okey)))
         _universe_cache[spec] = entry
-    return entry.games
+    return entry
 
 
 def enumerate_universe(spec: UniverseSpec) -> Iterator[GameTerm]:
@@ -212,9 +232,7 @@ def _registered_table(contexts: Iterable[GameTerm]) -> Optional[ContextTable]:
     """
     for entry in _universe_cache.values():
         if entry.games is contexts:
-            if entry.table is None:
-                entry.table = ContextTable(entry.games)
-            return entry.table
+            return entry.context_table()
     return None
 
 
@@ -483,10 +501,11 @@ def greater_equal(
 
     Refuted means some enumerated context x and up-set O have h+x in O but
     g+x outside it; the witness is minimal in term order and the verdict
-    carries both for auditing.  The score rows the search computes are
-    kept in ``evaluator`` for later searches that pass the same one.
+    carries both for auditing.  The score rows a search of games outside
+    the universe computes are kept in ``evaluator`` for later searches
+    that pass the same one.
     """
-    return _verdict(_sound_ge(g, h), g, h, spec, evaluator, _GE_TEST)
+    return _verdict(_sound_ge(g, h), g, h, spec, evaluator, UP_SETS)
 
 
 def less_equal(
@@ -496,7 +515,11 @@ def less_equal(
     evaluator: Optional[SumEvaluator] = None,
 ) -> Verdict:
     """Three-valued g <= h, over the four down-sets."""
-    return _verdict(_sound_ge(h, g), g, h, spec, evaluator, _LE_TEST)
+    return _verdict(_sound_ge(h, g), g, h, spec, evaluator, DOWN_SETS)
+
+
+#: The row scan of each relation, keyed by its witness sets (None for =).
+_SCAN_TESTS = {UP_SETS: _GE_TEST, DOWN_SETS: _LE_TEST, None: _outcome_test}
 
 
 def _verdict(
@@ -505,15 +528,27 @@ def _verdict(
     h: GameTerm,
     spec: UniverseSpec,
     evaluator: Optional[SumEvaluator],
-    test,
+    sets: Optional[tuple[OutcomeSet, ...]],
 ) -> Verdict:
-    """The sound proof, else the first refutation ``test`` finds, else Unrefuted.
+    """The sound proof, else the first refutation, else Unrefuted.
 
-    A hit of ``_outcome_test`` is ``True`` and carries no witness set.
+    ``sets`` is UP_SETS for >=, DOWN_SETS for <= and None for =, whose
+    witness carries no set.  When g and h both have a class among the
+    universe's games, the refutation is read off the cached sign masks
+    of the two classes; otherwise the rows of g and h are scanned, and
+    both ways give the same witness.
     """
     if sound is not None:
         return sound
-    hit = _first_refutation(g, h, universe(spec), evaluator, test)
+    entry = _universe_entry(spec)
+    table = entry.context_table()
+    kg, kh = _esig(g), _esig(h)
+    if kg in table.first_of and kh in table.first_of:
+        hit = _mask_refutation(
+            _class_masks(entry, g, kg), _class_masks(entry, h, kh), table, sets
+        )
+    else:
+        hit = _first_refutation(g, h, entry.games, evaluator, _SCAN_TESTS[sets])
     if hit is None:
         return Unrefuted(spec)
     x, o = hit
@@ -534,8 +569,95 @@ def equal(
     signs fix the outcome.
     """
     return _verdict(
-        _sound_ge(g, h) and _sound_ge(h, g), g, h, spec, evaluator, _outcome_test
+        _sound_ge(g, h) and _sound_ge(h, g), g, h, spec, evaluator, None
     )
+
+
+def _class_masks(entry: _Universe, g: GameTerm, k: int) -> _Masks:
+    """The sign masks of g's class k, which must be a class of the table.
+
+    Bit r of each mask stands for the class of scan rank r, the column
+    ``order[firsts[r]]`` of the table, and is set where g+X is in the
+    mask's set.  Equivalent games have equal rows (the argument in the
+    ``ContextTable`` docstring, with the roles of g and X swapped), so
+    one entry serves the whole class.  It is built on first use from one
+    full row of g, whose subterm rows are then dropped.
+    """
+    masks = entry.masks.get(k)
+    if masks is None:
+        table = entry.table
+        sl, sr = _extend_rows(g, table, {}, len(table))
+        # Highest rank first, so that rank r lands on bit r.
+        cols = [table.order[p] for p in reversed(table.firsts)]
+        sl = [sl[i] for i in cols]
+        sr = [sr[i] for i in cols]
+        masks = entry.masks[k] = (
+            _mask([v > 0 for v in sl]), _mask([v >= 0 for v in sl]),
+            _mask([v > 0 for v in sr]), _mask([v >= 0 for v in sr]),
+        )
+    return masks
+
+
+def _mask(flags: list[bool]) -> int:
+    """The int whose bit r is flags[-1 - r]."""
+    return int("".join(["1" if f else "0" for f in flags]), 2)
+
+
+def _outcome_masks(m: _Masks, full: int) -> tuple[int, int, int, int, int]:
+    """The columns of outcome N, P, T, L and R, from a class's sign masks.
+
+    ``full`` has one bit per column.  The five masks partition it, which
+    is why = compares them and not the sign masks: (1, 1), (1, 0) and
+    (0, 1) are all outcome L, but differ in sign.
+    """
+    l_gt, l_ge, r_gt, r_ge = m
+    l_eq, r_eq = l_ge & ~l_gt, r_ge & ~r_gt
+    l_lt, r_lt = full & ~l_ge, full & ~r_ge
+    return (
+        l_gt & r_lt,
+        l_lt & r_gt,
+        l_eq & r_eq,
+        (l_gt & r_ge) | (l_eq & r_gt),
+        (l_lt & ~r_gt) | (l_eq & r_lt),
+    )
+
+
+def _mask_refutation(
+    gm: _Masks,
+    hm: _Masks,
+    table: ContextTable,
+    sets: Optional[tuple[OutcomeSet, ...]],
+) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
+    """The hit of ``_first_refutation`` for g and h, read off their masks.
+
+    For >= the columns with h+X in up-set k and g+X not are
+    ``hm[k] & ~gm[k]``.  Down-set k is the complement of up-set k ^ 1
+    (L< of L>=, L<= of L>, and so on), so for <= they are
+    ``gm[k ^ 1] & ~hm[k ^ 1]``.  For = they are where an outcome mask
+    differs.  The lowest set bit of their union is the first class in
+    scan order that hits, and the set named is the first of ``sets``
+    that hits there.
+    """
+    if sets is UP_SETS:
+        diffs = [b & ~a for a, b in zip(gm, hm)]
+    elif sets is DOWN_SETS:
+        diffs = [gm[k ^ 1] & ~hm[k ^ 1] for k in range(4)]
+    else:
+        full = (1 << len(table.firsts)) - 1
+        diffs = [
+            a ^ b
+            for a, b in zip(_outcome_masks(gm, full), _outcome_masks(hm, full))
+        ]
+    bits = 0
+    for d in diffs:
+        bits |= d
+    if not bits:
+        return None
+    low = bits & -bits
+    x = table.contexts[table.firsts[low.bit_length() - 1]]
+    if sets is None:
+        return x, None
+    return x, next(o for o, d in zip(sets, diffs) if d & low)
 
 
 def duality_check(

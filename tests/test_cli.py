@@ -211,6 +211,36 @@ class TestVerify:
         assert captured.out == ""
         assert "--grid" in captured.err
 
+    @pytest.mark.parametrize("grid", ["0", "1", "2"])
+    def test_grid_too_small_for_every_triple_is_a_usage_error(
+            self, grid, monkeypatch, capsys):
+        import scoreplay.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli_mod, "run_suite", never)
+        code, out = run_cli("verify", "outcome-template", "--grid", grid)
+        assert (code, out) == (2, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid must be >= 3" in captured.err
+
+    def test_smallest_grid_accepted_is_3(self, monkeypatch):
+        import scoreplay.cli as cli_mod
+        from scoreplay.verify import SuiteResult
+
+        calls = []
+
+        def passing(suite, spec, **kwargs):
+            calls.append(kwargs)
+            return SuiteResult(suite)
+
+        monkeypatch.setattr(cli_mod, "run_suite", passing)
+        code, out = run_cli("verify", "outcome-template", "--grid", "3")
+        assert code == 0
+        assert calls == [{"seed": 0, "bound": 3}]
+
     def test_grid_above_the_bound_is_a_usage_error(self, monkeypatch, capsys):
         import scoreplay.cli as cli_mod
         from scoreplay.verify import SuiteResult

@@ -33,8 +33,12 @@ from scoreplay import (
 from scoreplay.core import _esig
 from scoreplay.order import (
     ContextTable,
+    _class_masks,
     _extend_rows,
+    _outcome_masks,
     _registered_table,
+    _sound_ge,
+    _universe_entry,
     find_eq_refutation,
     find_ge_refutation,
     find_le_refutation,
@@ -450,14 +454,112 @@ class TestContextKernel:
         assert _registered_table(default_universe) is table
         assert _registered_table(list(default_universe)) is None
         ev = SumEvaluator()
-        # refuted by the zero context: only the first chunk is computed
+        # universe games are decided from their class masks, not rows
         assert greater_equal(leaf(0), leaf(1), DEFAULT_UNIVERSE, ev) == (
             Refuted(zero(), OutcomeSet.L_GT)
         )
-        rows = ev.context_rows(table)
-        assert 0 < len(rows[leaf(0)][0]) < len(table)
         g, h = parse("{2|0|.}"), parse("{1|0|.}")
         assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
+        masks = _universe_entry(DEFAULT_UNIVERSE).masks
+        assert {_esig(x) for x in (leaf(0), leaf(1), g, h)} <= masks.keys()
+        rows = ev.context_rows(table)
+        assert rows == {}
+        # a game outside the universe is scanned on rows; refuted by the
+        # zero context, only the first chunk is computed
+        assert greater_equal(leaf(0), leaf(3), DEFAULT_UNIVERSE, ev) == (
+            Refuted(zero(), OutcomeSet.L_GT)
+        )
+        assert 0 < len(rows[leaf(0)][0]) < len(table)
+        assert 0 < len(rows[leaf(3)][0]) < len(table)
+        g = parse("{3|0|.}")
+        assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
         assert len(rows[g][0]) == len(rows[h][0]) == len(table)
+        assert _esig(leaf(3)) not in masks and _esig(g) not in masks
         # another evaluator starts with no rows of its own
         assert SumEvaluator().context_rows(table) == {}
+
+
+# ---------------------------------------------------------------------------
+# verdicts from class sign masks against verdicts rebuilt from the scans
+# ---------------------------------------------------------------------------
+
+def _scan_verdicts(g, h, spec, ev):
+    """(>=, <=, =) from the sound rules and the find_* row scans."""
+    games = universe(spec)
+    ge = _sound_ge(g, h)
+    if ge is None:
+        hit = find_ge_refutation(g, h, games, ev)
+        ge = Unrefuted(spec) if hit is None else Refuted(*hit)
+    le = _sound_ge(h, g)
+    if le is None:
+        hit = find_le_refutation(g, h, games, ev)
+        le = Unrefuted(spec) if hit is None else Refuted(*hit)
+    eq = _sound_ge(g, h) and _sound_ge(h, g)
+    if eq is None:
+        x = find_eq_refutation(g, h, games, ev)
+        eq = Unrefuted(spec) if x is None else Refuted(x)
+    return ge, le, eq
+
+
+def _check_against_scans(pairs, spec):
+    ev = SumEvaluator()
+    kinds = set()
+    for g, h in pairs:
+        verdicts = (
+            greater_equal(g, h, spec),
+            less_equal(g, h, spec),
+            equal(g, h, spec),
+        )
+        assert verdicts == _scan_verdicts(g, h, spec, ev), (g, h)
+        ge, le, eq = verdicts
+        _check_witnesses(g, h, (
+            (ge.witness, ge.witness_set) if isinstance(ge, Refuted) else None,
+            (le.witness, le.witness_set) if isinstance(le, Refuted) else None,
+            eq.witness if isinstance(eq, Refuted) else None,
+        ))
+        kinds.update(type(v) for v in verdicts)
+    assert kinds == {Proved, Refuted, Unrefuted}
+
+
+class TestClassMasks:
+    def test_all_tiny_pairs_match_the_scans(self, tiny_universe):
+        pairs = [(g, h) for g in tiny_universe for h in tiny_universe]
+        _check_against_scans(pairs, TINY)
+
+    def test_seeded_default_pairs_match_the_scans(self, default_universe):
+        rng = random.Random(3000)
+        pairs = [(rng.choice(default_universe), rng.choice(default_universe))
+                 for _ in range(3000)]
+        _check_against_scans(pairs, DEFAULT_UNIVERSE)
+
+    def test_pairs_outside_the_universe_fall_back_to_the_scan(
+            self, default_universe):
+        table = _registered_table(default_universe)
+        pool = (list(default_universe[::40]) + _deep_games()[:20]
+                + _fraction_games()[::12])
+        rng = random.Random(1414)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(120)]
+        assert any(_esig(g) not in table.first_of for g, _ in pairs)
+        _check_against_scans(pairs, DEFAULT_UNIVERSE)
+        masks = _universe_entry(DEFAULT_UNIVERSE).masks
+        assert all(k in table.first_of for k in masks)
+
+    def test_outcome_masks_partition_every_column(self, default_universe):
+        entry = _universe_entry(DEFAULT_UNIVERSE)
+        table = entry.context_table()
+        full = (1 << len(table.firsts)) - 1
+        for g in default_universe:
+            parts = _outcome_masks(_class_masks(entry, g, _esig(g)), full)
+            union = 0
+            for part in parts:
+                assert union & part == 0
+                union |= part
+            assert union == full
+
+    def test_cache_holds_at_most_one_entry_per_class(self, default_universe):
+        for g in default_universe[::3]:
+            for h in default_universe[::97]:
+                greater_equal(g, h)
+                equal(g, h)
+        masks = _universe_entry(DEFAULT_UNIVERSE).masks
+        assert 0 < len(masks) <= len(_registered_table(default_universe))

@@ -166,16 +166,96 @@ class ContextTable:
 #: SR >= 0, the tests of UP_SETS in order (see ``_class_masks``).
 _Masks = tuple[int, int, int, int]
 
+#: The per-column scores ``_MaskBasis.signs`` compares: the root score of
+#: a context with no Left option, or with no Right option; the best
+#: number among its Left options (max), or among its Right options (min).
+_END_L, _END_R, _NUM_L, _NUM_R = range(4)
+
+
+class _MaskBasis:
+    """The columns of a table that ``_class_masks`` reads by threshold.
+
+    ``values[kind]`` maps each score v to the mask of the columns whose
+    score of that kind is v, and ``always[kind]`` holds the columns a
+    threshold of that kind leaves set whatever the shift: for _END_R the
+    contexts that have a Right option, for _NUM_R those with no number
+    among their Right options (a min over no terms).  ``deep`` lists, in
+    id order, each column whose context has an option that is not a
+    number, with the ids of those options on each side.  ``first_at``
+    maps the id of each class's first member to that context.
+    """
+
+    __slots__ = (
+        "full", "digits", "values", "always", "deep", "first_at", "_cache",
+    )
+
+    def __init__(self, table: ContextTable) -> None:
+        n = len(table)
+        self.full = (1 << n) - 1
+        self.first_at = {
+            table.order[p]: table.contexts[p] for p in table.firsts
+        }
+        self.digits = f"0{n}b"
+        self.values: tuple[dict[Score, int], ...] = ({}, {}, {}, {})
+        self.always = [0, 0, 0, 0]
+        self.deep: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+        self._cache: dict[tuple[int, Score], tuple[int, int]] = {}
+        scores = table.scores
+        number = [not l and not r for l, r in zip(table.left, table.right)]
+        for i, (xl, xr) in enumerate(zip(table.left, table.right)):
+            bit = 1 << i
+            num_l = [scores[j] for j in xl if number[j]]
+            num_r = [scores[j] for j in xr if number[j]]
+            if not xl:
+                self._add(_END_L, scores[i], bit)
+            if xr:
+                self.always[_END_R] |= bit
+            else:
+                self._add(_END_R, scores[i], bit)
+            if num_l:
+                self._add(_NUM_L, max(num_l), bit)
+            if num_r:
+                self._add(_NUM_R, min(num_r), bit)
+            else:
+                self.always[_NUM_R] |= bit
+            deep_l = tuple(j for j in xl if not number[j])
+            deep_r = tuple(j for j in xr if not number[j])
+            if deep_l or deep_r:
+                self.deep.append((i, deep_l, deep_r))
+
+    def _add(self, kind: int, v: Score, bit: int) -> None:
+        self.values[kind][v] = self.values[kind].get(v, 0) | bit
+
+    def signs(self, kind: int, s: Score) -> tuple[int, int]:
+        """The columns whose score v of ``kind`` has v + s > 0, and v + s >= 0.
+
+        Cached by (kind, s); s is a termination or final score of a class
+        of the table, so the cache holds at most four entries per score
+        of the universe.
+        """
+        key = (kind, s)
+        hit = self._cache.get(key)
+        if hit is None:
+            gt = ge = self.always[kind]
+            for v, bits in self.values[kind].items():
+                if v + s > 0:
+                    gt |= bits
+                if v + s >= 0:
+                    ge |= bits
+            hit = self._cache[key] = (gt, ge)
+        return hit
+
 
 class _Universe:
     """A registry entry: the enumerated games and, once searched, their
-    table and the sign masks of the classes compared so far."""
+    table, its mask basis and the sign masks of the classes built so far."""
 
-    __slots__ = ("games", "table", "masks")
+    __slots__ = ("games", "table", "basis", "masks")
 
     def __init__(self, games: tuple[GameTerm, ...]) -> None:
         self.games = games
         self.table: Optional[ContextTable] = None
+        self.basis: Optional[_MaskBasis] = None
         # Keyed by ``_esig`` class id; only classes of the table get an
         # entry, so it never holds more than len(table) of them.
         self.masks: dict[int, _Masks] = {}
@@ -184,6 +264,11 @@ class _Universe:
         if self.table is None:
             self.table = ContextTable(self.games)
         return self.table
+
+    def mask_basis(self) -> _MaskBasis:
+        if self.basis is None:
+            self.basis = _MaskBasis(self.context_table())
+        return self.basis
 
 
 _universe_cache: dict[UniverseSpec, _Universe] = {}
@@ -544,9 +629,8 @@ def _verdict(
     table = entry.context_table()
     kg, kh = _esig(g), _esig(h)
     if kg in table.first_of and kh in table.first_of:
-        hit = _mask_refutation(
-            _class_masks(entry, g, kg), _class_masks(entry, h, kh), table, sets
-        )
+        gm, hm = _class_masks(entry, g, kg), _class_masks(entry, h, kh)
+        hit = _mask_refutation(gm, hm, entry.mask_basis(), sets)
     else:
         hit = _first_refutation(g, h, entry.games, evaluator, _SCAN_TESTS[sets])
     if hit is None:
@@ -576,31 +660,85 @@ def equal(
 def _class_masks(entry: _Universe, g: GameTerm, k: int) -> _Masks:
     """The sign masks of g's class k, which must be a class of the table.
 
-    Bit r of each mask stands for the class of scan rank r, the column
-    ``order[firsts[r]]`` of the table, and is set where g+X is in the
-    mask's set.  Equivalent games have equal rows (the argument in the
-    ``ContextTable`` docstring, with the roles of g and X swapped), so
-    one entry serves the whole class.  It is built on first use from one
-    full row of g, whose subterm rows are then dropped.
+    Bit i of each mask stands for the context of table id i, and is set
+    where g+X is in the mask's set.  Equivalent games have equal rows
+    (the argument in the ``ContextTable`` docstring, with the roles of g
+    and X swapped), so one entry serves the whole class.
+
+    The masks of a game u are built from those of its option classes,
+    which are built first (they are classes of the table too, as the
+    universe holds the subterms of its games), without its score row:
+
+    - A sign test commutes with max and min: max > 0 iff some term is,
+      min > 0 iff every term is, and likewise for >= 0.  So Left's moves
+      in u give the OR of the SR masks of the classes of u^L, and
+      Right's moves the AND of the SL masks of the classes of u^R.
+    - A number b has no options, so u + b plays as u with every final
+      score shifted by b (see ``_extend_rows``) and SR(u + b) = u.sr + b.
+      Left's moves to the numbers among the options of X therefore pass
+      the tests exactly on the columns where that best number exceeds
+      (or reaches) -u.sr: one threshold mask of ``_MaskBasis``, and
+      Right's moves likewise with u.sl.
+    - When the mover has no move in u or in X, play ends at
+      u.score + score(X): a threshold mask on the root scores of the
+      columns with no option on that side, used when u has none either.
+
+    That leaves only Left's or Right's moves to options of X that are
+    not numbers, whose columns read u's own bits at those options' ids.
+    Those ids are lower, as the table is children-first; one pass in id
+    order fills them in, on a byte per column, where the ASCII digits
+    '0' and '1' combine under | and & as the bits they stand for.
+    A universe of depth 1 has no such column, so its masks need no
+    per-column work at all.
     """
     masks = entry.masks.get(k)
-    if masks is None:
-        table = entry.table
-        sl, sr = _extend_rows(g, table, {}, len(table))
-        # Highest rank first, so that rank r lands on bit r.
-        cols = [table.order[p] for p in reversed(table.firsts)]
-        sl = [sl[i] for i in cols]
-        sr = [sr[i] for i in cols]
-        masks = entry.masks[k] = (
-            _mask([v > 0 for v in sl]), _mask([v >= 0 for v in sl]),
-            _mask([v > 0 for v in sr]), _mask([v >= 0 for v in sr]),
-        )
-    return masks
-
-
-def _mask(flags: list[bool]) -> int:
-    """The int whose bit r is flags[-1 - r]."""
-    return int("".join(["1" if f else "0" for f in flags]), 2)
+    if masks is not None:
+        return masks
+    basis = entry.mask_basis()
+    known = entry.masks
+    for u in _postorder(g, ()):
+        ku = _esig(u)
+        if ku in known:
+            continue
+        a = u.score
+        if u.left:
+            l_gt = l_ge = 0
+            for o in u.left:
+                m = known[_esig(o)]
+                l_gt |= m[2]
+                l_ge |= m[3]
+        else:
+            l_gt, l_ge = basis.signs(_END_L, a)
+        gt, ge = basis.signs(_NUM_L, u.sr)
+        l_gt |= gt
+        l_ge |= ge
+        if u.right:
+            r_gt = r_ge = basis.full
+            for o in u.right:
+                m = known[_esig(o)]
+                r_gt &= m[0]
+                r_ge &= m[1]
+        else:
+            r_gt, r_ge = basis.signs(_END_R, a)
+        gt, ge = basis.signs(_NUM_R, u.sl)
+        r_gt &= gt
+        r_ge &= ge
+        if basis.deep:
+            rows = [
+                bytearray(format(m, basis.digits)[::-1], "ascii")
+                for m in (l_gt, l_ge, r_gt, r_ge)
+            ]
+            lgt, lge, rgt, rge = rows
+            for i, xl, xr in basis.deep:
+                for j in xl:
+                    lgt[i] |= rgt[j]
+                    lge[i] |= rge[j]
+                for j in xr:
+                    rgt[i] &= lgt[j]
+                    rge[i] &= lge[j]
+            l_gt, l_ge, r_gt, r_ge = [int(row[::-1], 2) for row in rows]
+        known[ku] = (l_gt, l_ge, r_gt, r_ge)
+    return known[k]
 
 
 def _outcome_masks(m: _Masks, full: int) -> tuple[int, int, int, int, int]:
@@ -625,7 +763,7 @@ def _outcome_masks(m: _Masks, full: int) -> tuple[int, int, int, int, int]:
 def _mask_refutation(
     gm: _Masks,
     hm: _Masks,
-    table: ContextTable,
+    basis: _MaskBasis,
     sets: Optional[tuple[OutcomeSet, ...]],
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
     """The hit of ``_first_refutation`` for g and h, read off their masks.
@@ -634,16 +772,24 @@ def _mask_refutation(
     ``hm[k] & ~gm[k]``.  Down-set k is the complement of up-set k ^ 1
     (L< of L>=, L<= of L>, and so on), so for <= they are
     ``gm[k ^ 1] & ~hm[k ^ 1]``.  For = they are where an outcome mask
-    differs.  The lowest set bit of their union is the first class in
-    scan order that hits, and the set named is the first of ``sets``
-    that hits there.
+    differs.  The set named is the first of ``sets`` that hits at the
+    lowest set bit of their union, which is the first class in scan
+    order that hits.  The universe is sorted by ``okey``, which starts
+    with the node count, so a proper subterm comes before every game
+    holding it.  The table adds first members in scan order, each after
+    its subterms; a first member that is a subterm of another comes
+    before it and already has its id, so first members get ids in scan
+    order.  An id that is no first member's is a proper subterm of a
+    first member built after its class's first member, so it is higher
+    than that first member's id, whose bits it shares.  So the lowest
+    set bit is a first member's id.
     """
     if sets is UP_SETS:
         diffs = [b & ~a for a, b in zip(gm, hm)]
     elif sets is DOWN_SETS:
         diffs = [gm[k ^ 1] & ~hm[k ^ 1] for k in range(4)]
     else:
-        full = (1 << len(table.firsts)) - 1
+        full = basis.full
         diffs = [
             a ^ b
             for a, b in zip(_outcome_masks(gm, full), _outcome_masks(hm, full))
@@ -654,7 +800,7 @@ def _mask_refutation(
     if not bits:
         return None
     low = bits & -bits
-    x = table.contexts[table.firsts[low.bit_length() - 1]]
+    x = basis.first_at[low.bit_length() - 1]
     if sets is None:
         return x, None
     return x, next(o for o, d in zip(sets, diffs) if d & low)

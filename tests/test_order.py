@@ -18,6 +18,7 @@ from scoreplay import (
     equal,
     equivalent,
     final_scores,
+    game,
     greater_equal,
     leaf,
     less_equal,
@@ -32,12 +33,17 @@ from scoreplay import (
 )
 from scoreplay.core import _esig
 from scoreplay.order import (
+    _NUM_L,
     ContextTable,
+    _MaskBasis,
+    _Universe,
     _class_masks,
     _extend_rows,
+    _mask_refutation,
     _outcome_masks,
     _registered_table,
     _sound_ge,
+    _universe_cache,
     _universe_entry,
     find_eq_refutation,
     find_ge_refutation,
@@ -563,3 +569,136 @@ class TestClassMasks:
                 equal(g, h)
         masks = _universe_entry(DEFAULT_UNIVERSE).masks
         assert 0 < len(masks) <= len(_registered_table(default_universe))
+
+
+# ---------------------------------------------------------------------------
+# class masks from the mask recurrence against masks read off full rows
+# ---------------------------------------------------------------------------
+
+DEPTH_TWO = UniverseSpec(2, 1, (-2, -1, 0, 1, 2))  # 7,205 classes
+
+
+def _row_class_masks(table, g, rows):
+    """The sign masks of g's class read off g's full score row: the
+    reference for ``_class_masks``.  ``rows`` may be shared by calls."""
+    sl, sr = _extend_rows(g, table, rows, len(table))
+    # Highest id first, so that id i lands on bit i.
+    sl, sr = sl[::-1], sr[::-1]
+    return (
+        _mask([v > 0 for v in sl]), _mask([v >= 0 for v in sl]),
+        _mask([v > 0 for v in sr]), _mask([v >= 0 for v in sr]),
+    )
+
+
+def _mask(flags):
+    """The int whose bit r is flags[-1 - r]."""
+    return int("".join(["1" if f else "0" for f in flags]), 2)
+
+
+def _fresh_entry(spec):
+    """A registry entry over spec's games and table with no masks yet."""
+    games = universe(spec)
+    entry = _Universe(games)
+    entry.table = _registered_table(games)
+    return entry
+
+
+def _class_games(table):
+    """The first member of each class of the table, in scan order."""
+    return [table.games[table.order[p]] for p in table.firsts]
+
+
+def _mismatched_classes(entry):
+    """Classes in ``entry.masks`` whose masks differ from the reference."""
+    table, rows = entry.table, {}
+    return [
+        k for k, masks in entry.masks.items()
+        if masks != _row_class_masks(
+            table, table.games[table.order[table.first_of[k]]], rows)
+    ]
+
+
+class TestMaskRecurrence:
+    @pytest.mark.parametrize("spec, classes", [
+        (TINY, 30),
+        (DEFAULT_UNIVERSE, 380),
+        (UniverseSpec(1, 2, (Fraction(-1, 2), 0, Fraction(1, 2), 1)), 184),
+    ])
+    def test_every_class_matches_its_row(self, spec, classes):
+        entry = _fresh_entry(spec)
+        for g in _class_games(entry.table):
+            _class_masks(entry, g, _esig(g))
+        assert len(entry.masks) == classes
+        # depth 1: every option of every context is a number
+        assert entry.basis.deep == []
+        assert _mismatched_classes(entry) == []
+
+    def test_seeded_depth_two_classes_and_their_options(self):
+        entry = _fresh_entry(DEPTH_TWO)
+        table = entry.table
+        assert len(table) == len(table.firsts) == 7205
+        for g in random.Random(1515).sample(_class_games(table), 60):
+            _class_masks(entry, g, _esig(g))
+        # 80 contexts have numbers for options, or none
+        assert len(entry.basis.deep) == 7205 - 80
+        assert len(entry.masks) > 100
+        assert _mismatched_classes(entry) == []
+
+    def test_building_a_class_builds_its_option_classes(self):
+        entry = _fresh_entry(DEPTH_TWO)
+        g = parse("{{1|0|.}|0|{.|1|2}}")
+        masks = _class_masks(entry, g, _esig(g))
+        subterms = [g, parse("{1|0|.}"), parse("{.|1|2}"), leaf(1), leaf(2)]
+        assert entry.masks.keys() == {_esig(t) for t in subterms}
+        assert all(k in entry.table.first_of for k in entry.masks)
+        assert _class_masks(entry, g, _esig(g)) is masks
+        assert _mismatched_classes(entry) == []
+
+    def test_cross_check_catches_a_broken_threshold(self, monkeypatch):
+        signs = _MaskBasis.signs
+
+        def broken(self, kind, s):
+            # v + s > 0 tested as v + s >= 0 for Left's number options
+            gt, ge = signs(self, kind, s)
+            return (ge, ge) if kind == _NUM_L else (gt, ge)
+
+        monkeypatch.setattr(_MaskBasis, "signs", broken)
+        entry = _fresh_entry(DEFAULT_UNIVERSE)
+        for g in _class_games(entry.table):
+            _class_masks(entry, g, _esig(g))
+        assert _mismatched_classes(entry) != []
+
+    def test_ids_outside_the_first_members_get_mask_verdicts(self):
+        # {1|0|-1} and {1|1|-1} are equivalent, so a game with both as Left
+        # options gives the second an id although it is no first member.
+        t = game([parse("{1|0|-1}"), parse("{1|1|-1}")], 0, ())
+        games = tuple(sorted(
+            [leaf(0), leaf(1), leaf(-1), t] + [parse(x) for x in (
+                "{0|0|.}", "{1|0|0}", "{1|0|-1}", "{-1|0|0}", "{0|1|1}",
+                "{1|1|-1}", "{-1|1|-1}",
+            )],
+            key=term_order_key,
+        ))
+        spec = UniverseSpec(2, 2, (-1, 0, 1))  # too large to enumerate
+        entry = _Universe(games)
+        table = entry.context_table()
+        assert len(table) == len(table.firsts) + 1
+        # the extra id is {1|1|-1}, built as a subterm of t, the last game
+        extra = parse("{1|1|-1}")
+        assert table.games.index(extra) == len(table) - 2
+        for g in games:
+            _class_masks(entry, g, _esig(g))
+        assert len(entry.masks) == len(table.firsts)
+        assert _mismatched_classes(entry) == []
+        # the last id, t's, is a column too: outcome N against P there
+        top = 1 << (len(table) - 1)
+        assert _mask_refutation(
+            (top, top, 0, 0), (0, 0, top, top), entry.basis, None
+        ) == (t, None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(_universe_cache, spec, entry)
+            # only t refutes {1|0|0} >= t; its id is the last one
+            assert greater_equal(parse("{1|0|0}"), t, spec) == (
+                Refuted(t, OutcomeSet.R_GE)
+            )
+            _check_against_scans([(g, h) for g in games for h in games], spec)

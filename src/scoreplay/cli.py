@@ -218,8 +218,9 @@ def _verdict_fields(v) -> dict:
 def cmd_cmp(args, config: RunConfig, out: _Output) -> int:
     g = _parse_expr(args.expr1)
     h = _parse_expr(args.expr2)
-    # Games of the universe are decided from its cached class masks; the
-    # rows of any other g or h are kept here for all three searches.
+    # Every verdict is read off class masks: those of the universe's
+    # classes are cached with it, those of any other g or h are kept here
+    # for all three relations.
     ev = SumEvaluator()
     for rel, fn in ((">=", greater_equal), ("<=", less_equal), ("=", equal)):
         v = fn(g, h, config.spec, ev)

@@ -185,9 +185,7 @@ class _MaskBasis:
     maps the id of each class's first member to that context.
     """
 
-    __slots__ = (
-        "full", "digits", "values", "always", "deep", "first_at", "_cache",
-    )
+    __slots__ = ("full", "digits", "values", "always", "deep", "first_at")
 
     def __init__(self, table: ContextTable) -> None:
         n = len(table)
@@ -199,7 +197,6 @@ class _MaskBasis:
         self.values: tuple[dict[Score, int], ...] = ({}, {}, {}, {})
         self.always = [0, 0, 0, 0]
         self.deep: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        self._cache: dict[tuple[int, Score], tuple[int, int]] = {}
         scores = table.scores
         number = [not l and not r for l, r in zip(table.left, table.right)]
         for i, (xl, xr) in enumerate(zip(table.left, table.right)):
@@ -229,26 +226,22 @@ class _MaskBasis:
     def signs(self, kind: int, s: Score) -> tuple[int, int]:
         """The columns whose score v of ``kind`` has v + s > 0, and v + s >= 0.
 
-        Cached by (kind, s); s is a termination or final score of a class
-        of the table, so the cache holds at most four entries per score
-        of the universe.
+        Not cached: s may be any score of a game outside the universe, and
+        the loop runs over the few distinct scores of the table.
         """
-        key = (kind, s)
-        hit = self._cache.get(key)
-        if hit is None:
-            gt = ge = self.always[kind]
-            for v, bits in self.values[kind].items():
-                if v + s > 0:
-                    gt |= bits
-                if v + s >= 0:
-                    ge |= bits
-            hit = self._cache[key] = (gt, ge)
-        return hit
+        gt = ge = self.always[kind]
+        for v, bits in self.values[kind].items():
+            if v + s > 0:
+                gt |= bits
+            if v + s >= 0:
+                ge |= bits
+        return gt, ge
 
 
 class _Universe:
     """A registry entry: the enumerated games and, once searched, their
-    table, its mask basis and the sign masks of the classes built so far."""
+    table, its mask basis and the sign masks of the table's classes built
+    so far."""
 
     __slots__ = ("games", "table", "basis", "masks")
 
@@ -586,9 +579,9 @@ def greater_equal(
 
     Refuted means some enumerated context x and up-set O have h+x in O but
     g+x outside it; the witness is minimal in term order and the verdict
-    carries both for auditing.  The score rows a search of games outside
-    the universe computes are kept in ``evaluator`` for later searches
-    that pass the same one.
+    carries both for auditing.  The sign masks of classes outside the
+    universe are kept in ``evaluator`` for later verdicts that pass the
+    same one, and for this verdict alone when none is passed.
     """
     return _verdict(_sound_ge(g, h), g, h, spec, evaluator, UP_SETS)
 
@@ -603,10 +596,6 @@ def less_equal(
     return _verdict(_sound_ge(h, g), g, h, spec, evaluator, DOWN_SETS)
 
 
-#: The row scan of each relation, keyed by its witness sets (None for =).
-_SCAN_TESTS = {UP_SETS: _GE_TEST, DOWN_SETS: _LE_TEST, None: _outcome_test}
-
-
 def _verdict(
     sound: Optional[Proved],
     g: GameTerm,
@@ -618,25 +607,24 @@ def _verdict(
     """The sound proof, else the first refutation, else Unrefuted.
 
     ``sets`` is UP_SETS for >=, DOWN_SETS for <= and None for =, whose
-    witness carries no set.  When g and h both have a class among the
-    universe's games, the refutation is read off the cached sign masks
-    of the two classes; otherwise the rows of g and h are scanned, and
-    both ways give the same witness.
+    witness carries no set.  The refutation is read off the sign masks
+    of the classes of g and h, which give the witness of a row scan.
+    Those of the table's classes are cached in the universe; those of
+    any other class are kept in ``evaluator`` under the mask basis, or
+    for this call alone when none is passed.
     """
     if sound is not None:
         return sound
     entry = _universe_entry(spec)
-    table = entry.context_table()
+    basis = entry.mask_basis()
     kg, kh = _esig(g), _esig(h)
-    if kg in table.first_of and kh in table.first_of:
-        gm, hm = _class_masks(entry, g, kg), _class_masks(entry, h, kh)
-        hit = _mask_refutation(gm, hm, entry.mask_basis(), sets)
-    else:
-        hit = _first_refutation(g, h, entry.games, evaluator, _SCAN_TESTS[sets])
-    if hit is None:
-        return Unrefuted(spec)
-    x, o = hit
-    return Refuted(x, None if o is True else o)
+    gm, hm = entry.masks.get(kg), entry.masks.get(kh)
+    if gm is None or hm is None:
+        scope = {} if evaluator is None else evaluator.context_rows(basis)
+        gm = _class_masks(entry, g, kg, scope)
+        hm = _class_masks(entry, h, kh, scope)
+    hit = _mask_refutation(gm, hm, basis, sets)
+    return Unrefuted(spec) if hit is None else Refuted(*hit)
 
 
 def equal(
@@ -657,17 +645,22 @@ def equal(
     )
 
 
-def _class_masks(entry: _Universe, g: GameTerm, k: int) -> _Masks:
-    """The sign masks of g's class k, which must be a class of the table.
+def _class_masks(
+    entry: _Universe, g: GameTerm, k: int, scope: dict[int, _Masks]
+) -> _Masks:
+    """The sign masks of g's class k, which may be any class.
 
     Bit i of each mask stands for the context of table id i, and is set
     where g+X is in the mask's set.  Equivalent games have equal rows
     (the argument in the ``ContextTable`` docstring, with the roles of g
-    and X swapped), so one entry serves the whole class.
+    and X swapped), so one entry serves the whole class.  The masks of
+    the table's classes are kept in ``entry.masks``, which so never holds
+    more than len(table) entries, and those of any other class, which are
+    unbounded in number, in ``scope``.
 
     The masks of a game u are built from those of its option classes,
-    which are built first (they are classes of the table too, as the
-    universe holds the subterms of its games), without its score row:
+    which are built first, without its score row; nothing here needs u
+    to be a game of the universe:
 
     - A sign test commutes with max and min: max > 0 iff some term is,
       min > 0 iff every term is, and likewise for >= 0.  So Left's moves
@@ -691,20 +684,21 @@ def _class_masks(entry: _Universe, g: GameTerm, k: int) -> _Masks:
     A universe of depth 1 has no such column, so its masks need no
     per-column work at all.
     """
-    masks = entry.masks.get(k)
+    known = entry.masks
+    masks = known.get(k) or scope.get(k)
     if masks is not None:
         return masks
     basis = entry.mask_basis()
-    known = entry.masks
+    table_classes = entry.context_table().first_of
     for u in _postorder(g, ()):
         ku = _esig(u)
-        if ku in known:
+        if ku in known or ku in scope:
             continue
         a = u.score
         if u.left:
             l_gt = l_ge = 0
             for o in u.left:
-                m = known[_esig(o)]
+                m = known.get(_esig(o)) or scope[_esig(o)]
                 l_gt |= m[2]
                 l_ge |= m[3]
         else:
@@ -715,7 +709,7 @@ def _class_masks(entry: _Universe, g: GameTerm, k: int) -> _Masks:
         if u.right:
             r_gt = r_ge = basis.full
             for o in u.right:
-                m = known[_esig(o)]
+                m = known.get(_esig(o)) or scope[_esig(o)]
                 r_gt &= m[0]
                 r_ge &= m[1]
         else:
@@ -737,8 +731,9 @@ def _class_masks(entry: _Universe, g: GameTerm, k: int) -> _Masks:
                     rgt[i] &= lgt[j]
                     rge[i] &= lge[j]
             l_gt, l_ge, r_gt, r_ge = [int(row[::-1], 2) for row in rows]
-        known[ku] = (l_gt, l_ge, r_gt, r_ge)
-    return known[k]
+        masks = (l_gt, l_ge, r_gt, r_ge)
+        (known if ku in table_classes else scope)[ku] = masks
+    return known.get(k) or scope[k]
 
 
 def _outcome_masks(m: _Masks, full: int) -> tuple[int, int, int, int, int]:

@@ -105,18 +105,23 @@ class SumEvaluator:
     searches over many contexts never materialize sum terms.  The memo is
     keyed on term identity; results equal those of evaluating add(g, h).
 
-    An evaluator is also the memory scope of order searches: the score
-    rows they compute over a context table (see ``order.ContextTable``)
-    are kept here, per table and game, and live as long as it does.
+    An evaluator is also the memory scope of order searches, and what
+    they keep here lives as long as it does: the score rows that the
+    ``find_*`` scans compute over a context table (see
+    ``order.ContextTable``), per table and game, and the sign masks that
+    verdicts build for classes outside a universe, per mask basis and
+    class.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple[GameTerm, GameTerm], tuple[Score, Score]] = {}
         self._rows: dict[object, dict] = {}
 
-    def context_rows(self, table: object) -> dict:
-        """The (SL, SR) score rows kept for ``table``, keyed by game."""
-        return self._rows.setdefault(table, {})
+    def context_rows(self, key: object) -> dict:
+        """What order searches keep for ``key``: (SL, SR) score rows keyed
+        by game for a context table, sign masks keyed by class id for a
+        mask basis."""
+        return self._rows.setdefault(key, {})
 
     def final_scores(self, g: GameTerm, h: GameTerm) -> tuple[Score, Score]:
         memo = self._memo

@@ -466,21 +466,30 @@ class TestContextKernel:
         )
         g, h = parse("{2|0|.}"), parse("{1|0|.}")
         assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
-        masks = _universe_entry(DEFAULT_UNIVERSE).masks
+        entry = _universe_entry(DEFAULT_UNIVERSE)
+        masks = entry.masks
         assert {_esig(x) for x in (leaf(0), leaf(1), g, h)} <= masks.keys()
         rows = ev.context_rows(table)
         assert rows == {}
-        # a game outside the universe is scanned on rows; refuted by the
-        # zero context, only the first chunk is computed
+        # so are games outside the universe, whose masks live in ev
         assert greater_equal(leaf(0), leaf(3), DEFAULT_UNIVERSE, ev) == (
             Refuted(zero(), OutcomeSet.L_GT)
         )
-        assert 0 < len(rows[leaf(0)][0]) < len(table)
-        assert 0 < len(rows[leaf(3)][0]) < len(table)
         g = parse("{3|0|.}")
         assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
-        assert len(rows[g][0]) == len(rows[h][0]) == len(table)
+        assert rows == {}
+        scope = ev.context_rows(entry.mask_basis())
+        assert scope.keys() == {_esig(leaf(3)), _esig(g)}
         assert _esig(leaf(3)) not in masks and _esig(g) not in masks
+        # the find_* scans extend rows in ev; refuted by the zero context,
+        # only the first chunk is computed
+        assert find_ge_refutation(leaf(0), leaf(3), default_universe, ev) == (
+            zero(), OutcomeSet.L_GT
+        )
+        assert 0 < len(rows[leaf(0)][0]) < len(table)
+        assert 0 < len(rows[leaf(3)][0]) < len(table)
+        assert find_ge_refutation(g, h, default_universe, ev) is None
+        assert len(rows[g][0]) == len(rows[h][0]) == len(table)
         # another evaluator starts with no rows of its own
         assert SumEvaluator().context_rows(table) == {}
 
@@ -538,7 +547,7 @@ class TestClassMasks:
                  for _ in range(3000)]
         _check_against_scans(pairs, DEFAULT_UNIVERSE)
 
-    def test_pairs_outside_the_universe_fall_back_to_the_scan(
+    def test_pairs_outside_the_universe_are_decided_from_masks(
             self, default_universe):
         table = _registered_table(default_universe)
         pool = (list(default_universe[::40]) + _deep_games()[:20]
@@ -552,10 +561,10 @@ class TestClassMasks:
 
     def test_outcome_masks_partition_every_column(self, default_universe):
         entry = _universe_entry(DEFAULT_UNIVERSE)
-        table = entry.context_table()
-        full = (1 << len(table.firsts)) - 1
-        for g in default_universe:
-            parts = _outcome_masks(_class_masks(entry, g, _esig(g)), full)
+        full, scope = entry.mask_basis().full, {}
+        for g in list(default_universe) + _deep_games() + _fraction_games():
+            parts = _outcome_masks(
+                _class_masks(entry, g, _esig(g), scope), full)
             union = 0
             for part in parts:
                 assert union & part == 0
@@ -618,6 +627,23 @@ def _mismatched_classes(entry):
     ]
 
 
+def _games_outside(spec):
+    """Games whose classes are mostly not in spec's table: deep ones,
+    Fraction-shifted ones, and for depth 2 some of depth 3."""
+    classes = _class_games(_registered_table(universe(spec)))
+    if spec == DEFAULT_UNIVERSE:
+        return _deep_games() + [
+            shift(g, Fraction(1, 3)) for g in classes[::11]
+        ]
+    picks = random.Random(1616).sample(classes, 6)
+    return [shift(g, Fraction(-1, 2)) for g in picks[:3]] + [
+        game([picks[3]], 0, [picks[4]]),
+        game([picks[5]], Fraction(1, 3), ()),
+        parse("{{1|0|-1/2}|0|.}"),
+        parse("{.|1|{.|0|3}}"),
+    ]
+
+
 class TestMaskRecurrence:
     @pytest.mark.parametrize("spec, classes", [
         (TINY, 30),
@@ -627,7 +653,7 @@ class TestMaskRecurrence:
     def test_every_class_matches_its_row(self, spec, classes):
         entry = _fresh_entry(spec)
         for g in _class_games(entry.table):
-            _class_masks(entry, g, _esig(g))
+            _class_masks(entry, g, _esig(g), {})
         assert len(entry.masks) == classes
         # depth 1: every option of every context is a number
         assert entry.basis.deep == []
@@ -638,7 +664,7 @@ class TestMaskRecurrence:
         table = entry.table
         assert len(table) == len(table.firsts) == 7205
         for g in random.Random(1515).sample(_class_games(table), 60):
-            _class_masks(entry, g, _esig(g))
+            _class_masks(entry, g, _esig(g), {})
         # 80 contexts have numbers for options, or none
         assert len(entry.basis.deep) == 7205 - 80
         assert len(entry.masks) > 100
@@ -647,12 +673,44 @@ class TestMaskRecurrence:
     def test_building_a_class_builds_its_option_classes(self):
         entry = _fresh_entry(DEPTH_TWO)
         g = parse("{{1|0|.}|0|{.|1|2}}")
-        masks = _class_masks(entry, g, _esig(g))
+        masks = _class_masks(entry, g, _esig(g), {})
         subterms = [g, parse("{1|0|.}"), parse("{.|1|2}"), leaf(1), leaf(2)]
         assert entry.masks.keys() == {_esig(t) for t in subterms}
         assert all(k in entry.table.first_of for k in entry.masks)
-        assert _class_masks(entry, g, _esig(g)) is masks
+        assert _class_masks(entry, g, _esig(g), {}) is masks
         assert _mismatched_classes(entry) == []
+
+    @pytest.mark.parametrize("spec", [DEFAULT_UNIVERSE, DEPTH_TWO])
+    def test_classes_outside_the_table_match_their_rows(self, spec):
+        entry = _fresh_entry(spec)
+        table, rows, scope = entry.table, {}, {}
+        outside = [
+            g for g in _games_outside(spec) if _esig(g) not in table.first_of
+        ]
+        assert len(outside) >= 7
+        for g in outside:
+            assert _class_masks(entry, g, _esig(g), scope) == (
+                _row_class_masks(table, g, rows)
+            ), render(g)
+        assert {_esig(g) for g in outside} <= scope.keys()
+        assert entry.masks.keys() <= table.first_of.keys()
+        assert _mismatched_classes(entry) == []
+
+    def test_verdicts_outside_the_table_keep_no_universe_masks(
+            self, default_universe):
+        entry = _universe_entry(DEFAULT_UNIVERSE)
+        table = entry.context_table()
+        before = len(entry.masks)
+        rng, ev = random.Random(1616), SumEvaluator()
+        for i in range(1, 201):
+            # no score of g or h, nor of their subterms, is an integer
+            g = shift(rng.choice(default_universe), Fraction(i, 211))
+            h = shift(rng.choice(default_universe), Fraction(-i, 223))
+            v = greater_equal(g, h)
+            if i % 10 == 0:  # the Fraction row scans are the slow part
+                assert v == _scan_verdicts(g, h, DEFAULT_UNIVERSE, ev)[0]
+        assert entry.masks.keys() <= table.first_of.keys()
+        assert len(entry.masks) == before
 
     def test_cross_check_catches_a_broken_threshold(self, monkeypatch):
         signs = _MaskBasis.signs
@@ -665,7 +723,7 @@ class TestMaskRecurrence:
         monkeypatch.setattr(_MaskBasis, "signs", broken)
         entry = _fresh_entry(DEFAULT_UNIVERSE)
         for g in _class_games(entry.table):
-            _class_masks(entry, g, _esig(g))
+            _class_masks(entry, g, _esig(g), {})
         assert _mismatched_classes(entry) != []
 
     def test_ids_outside_the_first_members_get_mask_verdicts(self):
@@ -687,7 +745,7 @@ class TestMaskRecurrence:
         extra = parse("{1|1|-1}")
         assert table.games.index(extra) == len(table) - 2
         for g in games:
-            _class_masks(entry, g, _esig(g))
+            _class_masks(entry, g, _esig(g), {})
         assert len(entry.masks) == len(table.firsts)
         assert _mismatched_classes(entry) == []
         # the last id, t's, is a column too: outcome N against P there

@@ -27,7 +27,7 @@ from .order import (
     equal,
     greater_equal,
     less_equal,
-    universe_size,
+    _too_large,
 )
 from .rulesets import TfError, tf_parse, tf_to_game
 from .score import base_sets, final_scores, outcome
@@ -131,10 +131,10 @@ def _config(args: argparse.Namespace) -> RunConfig:
         spec = UniverseSpec(depth, width, scores)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    if universe_size(spec) > UNIVERSE_SIZE_LIMIT:
+    if _too_large(spec):
         raise CliError(
-            f"context universe {spec.describe()} has {universe_size(spec)} "
-            "games; pick smaller bounds"
+            f"context universe {spec.describe()} has more than "
+            f"{UNIVERSE_SIZE_LIMIT} games; pick smaller bounds"
         )
     return RunConfig(spec, Mode(args.mode), args.seed, args.format)
 

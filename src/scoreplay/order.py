@@ -19,7 +19,7 @@ from .core import (
     GameTerm, Score, as_score, equivalent, game, leaf, render, _esig, _postorder,
     _score_key,
 )
-from .score import _SET_TESTS, OutcomeSet, outcome_from_scores, set_holds
+from .score import _SET_TESTS, OutcomeSet, set_holds
 from .sums import SumEvaluator, is_numeric
 
 __all__ = [
@@ -87,13 +87,36 @@ class UniverseSpec:
 DEFAULT_UNIVERSE = UniverseSpec(1, 2, (-2, -1, 0, 1, 2))
 
 
+def _level_sizes(spec: UniverseSpec) -> Iterator[int]:
+    """The game counts of the universe's levels, depth 0 first.
+
+    No option set holds more than the n games of the level below, so the
+    binomial sum stops at min(width, n).  At width 0 every level is the
+    leaves, so only depth 0 is yielded; from width 1 on each level is
+    larger than the one below, so the last is the universe's size.
+    """
+    n = len(spec.scores)
+    yield n
+    for _ in range(spec.max_depth if spec.max_width else 0):
+        sets = sum(comb(n, k) for k in range(min(spec.max_width, n) + 1))
+        n = sets * sets * len(spec.scores)
+        yield n
+
+
 def universe_size(spec: UniverseSpec) -> int:
     """Closed-form count of the universe, without enumerating it."""
-    n = len(spec.scores)
-    for _ in range(spec.max_depth):
-        sets = sum(comb(n, k) for k in range(spec.max_width + 1))
-        n = sets * sets * len(spec.scores)
+    for n in _level_sizes(spec):
+        pass
     return n
+
+
+def _too_large(spec: UniverseSpec) -> bool:
+    """Whether the universe has more than UNIVERSE_SIZE_LIMIT games.
+
+    It stops at the first level above the limit, so bounds far beyond it
+    cost a few levels, not an exact count of millions of digits.
+    """
+    return any(n > UNIVERSE_SIZE_LIMIT for n in _level_sizes(spec))
 
 
 class ContextTable:
@@ -106,7 +129,11 @@ class ContextTable:
     the caller's sequence and ``order[p]`` the id that stands for
     ``contexts[p]``; ``firsts`` lists, in increasing order, the first
     position p of each id in ``order``, and ``first_of`` maps each
-    context's ``_esig`` class id to that first position.
+    context's ``_esig`` class id to that first position.  The ids of
+    those first members increase with their position: a first member
+    already built as a subterm of an earlier context gets one more id,
+    after that context's, so the lowest id that refutes is the first
+    refuting context in the caller's order.
 
     Equivalent contexts share the id of the first of them, and the table
     is built over those first members and their subterms only.  This
@@ -117,8 +144,10 @@ class ContextTable:
     component sits at a vertex missing an option, a termination vertex,
     whose score the isomorphic vertex of X' shares; every end of play
     has the same score in both sums, and by induction so does every
-    minimax value.  In the universes tested the subterms of first
-    members are first members too, so the table has one id per class:
+    minimax value.  A universe is sorted by term order, so none of its
+    first members is a subterm of an earlier context, and in the
+    universes tested the subterms of first members are first members
+    too; so the table has one id per class:
     380 ids for the 1,280 games of ``DEFAULT_UNIVERSE``, 7,205 for the
     163,805 of depth 2, width 1.
     """
@@ -141,11 +170,15 @@ class ContextTable:
         self.right: list[tuple[int, ...]] = []
         self.final_left: list[Score] = []
         self.final_right: list[Score] = []
-        for p in first.values():
-            for t in _postorder(self.contexts[p], index):
+        ids: dict[int, int] = {}
+        for k, p in first.items():
+            x = self.contexts[p]
+            if x in index:
+                self._append(x, index)
+            for t in _postorder(x, index):
                 index[t] = len(self.games)
                 self._append(t, index)
-        ids = {k: index[self.contexts[p]] for k, p in first.items()}
+            ids[k] = len(self.games) - 1
         self.order = [ids[k] for k in keys]
         self.firsts = tuple(first.values())
         self.first_of = first
@@ -182,10 +215,13 @@ class _MaskBasis:
     among their Right options (a min over no terms).  ``deep`` lists, in
     id order, each column whose context has an option that is not a
     number, with the ids of those options on each side.  ``first_at``
-    maps the id of each class's first member to that context.
+    maps the id of each class's first member to that context, and
+    ``firsts`` has the bits of those ids.
     """
 
-    __slots__ = ("full", "digits", "values", "always", "deep", "first_at")
+    __slots__ = (
+        "full", "digits", "values", "always", "deep", "first_at", "firsts",
+    )
 
     def __init__(self, table: ContextTable) -> None:
         n = len(table)
@@ -193,6 +229,7 @@ class _MaskBasis:
         self.first_at = {
             table.order[p]: table.contexts[p] for p in table.firsts
         }
+        self.firsts = sum(1 << i for i in self.first_at)
         self.digits = f"0{n}b"
         self.values: tuple[dict[Score, int], ...] = ({}, {}, {}, {})
         self.always = [0, 0, 0, 0]
@@ -239,9 +276,10 @@ class _MaskBasis:
 
 
 class _Universe:
-    """A registry entry: the enumerated games and, once searched, their
-    table, its mask basis and the sign masks of the table's classes built
-    so far."""
+    """Contexts and, once searched, their table, its mask basis and the
+    sign masks of the table's classes built so far.  A universe's entry
+    lives in the registry; ``find_*`` over any other contexts builds a
+    throwaway one."""
 
     __slots__ = ("games", "table", "basis", "masks")
 
@@ -275,16 +313,16 @@ def universe(spec: UniverseSpec) -> tuple[GameTerm, ...]:
 def _universe_entry(spec: UniverseSpec) -> _Universe:
     entry = _universe_cache.get(spec)
     if entry is None:
-        size = universe_size(spec)
-        if size > UNIVERSE_SIZE_LIMIT:
+        if _too_large(spec):
             raise ValueError(
-                f"universe {spec.describe()} has {size} games; "
-                f"refusing to enumerate above {UNIVERSE_SIZE_LIMIT}"
+                f"universe {spec.describe()} has more than "
+                f"{UNIVERSE_SIZE_LIMIT} games; refusing to enumerate it"
             )
         pool: list[GameTerm] = [leaf(s) for s in spec.scores]
-        for _ in range(spec.max_depth):
+        # At width 0 every level is the leaves again.
+        for _ in range(spec.max_depth if spec.max_width else 0):
             option_sets: list[tuple[GameTerm, ...]] = [()]
-            for k in range(1, spec.max_width + 1):
+            for k in range(1, min(spec.max_width, len(pool)) + 1):
                 option_sets.extend(combinations(pool, k))
             pool = [
                 game(lt, s, rt)
@@ -300,18 +338,6 @@ def _universe_entry(spec: UniverseSpec) -> _Universe:
 def enumerate_universe(spec: UniverseSpec) -> Iterator[GameTerm]:
     """Yield the cached universe tuple's games in term order, no duplicates."""
     yield from universe(spec)
-
-
-def _registered_table(contexts: Iterable[GameTerm]) -> Optional[ContextTable]:
-    """The class table of a universe tuple, or None for any other iterable.
-
-    It is built by the universe's first search, not by universe(), so
-    enumerating stays as cheap as before.
-    """
-    for entry in _universe_cache.values():
-        if entry.games is contexts:
-            return entry.context_table()
-    return None
 
 
 class SoundRule(Enum):
@@ -394,24 +420,20 @@ def le_refutation_at(
     return _refutation_at(g, h, x, ev, DOWN_SETS)
 
 
-#: Columns computed by a search's first row extension; each later one
-#: doubles the extended length, so an early refutation stays cheap.
-_FIRST_CHUNK = 8
-
 _Rows = tuple[list[Score], list[Score]]
 
 
 def _extend_rows(
-    g: GameTerm, table: ContextTable, rows: dict[GameTerm, _Rows], n: int
+    g: GameTerm, table: ContextTable, rows: dict[GameTerm, _Rows]
 ) -> _Rows:
-    """Extend the score rows of g, and of every subterm of g, to n columns.
+    """The score row of g over the table, with those of g's subterms.
 
-    ``rows[u] = (SL, SR)`` holds the final scores of u + x_i for the
-    first columns i of the table.  Column i of u reads the rows of u's
-    options at column i and u's own row at the ids of x_i's options,
-    which are earlier columns: the same max/min as SumEvaluator, on the
-    same exact values.  Subterms are visited in an explicit post-order,
-    so the depth of g costs no Python recursion.
+    ``rows[u] = (SL, SR)`` holds the final scores of u + x_i for every
+    column i of the table.  Column i of u reads the rows of u's options
+    at column i and u's own row at the ids of x_i's options, which are
+    earlier columns: the same max/min as SumEvaluator, on the same exact
+    values.  Subterms missing from ``rows`` are filled in an explicit
+    post-order, so the depth of g costs no Python recursion.
 
     A number a has no options, so the moves of a + X are exactly the
     moves of X with a carried along, and every position ends with a's
@@ -419,40 +441,24 @@ def _extend_rows(
     final score shifted by a.  Its row is the table's final-score row
     plus a.
     """
-    stack = [g]
-    while stack:
-        u = stack[-1]
-        row = rows.get(u)
-        done = len(row[0]) if row is not None else 0
-        if done >= n:
-            stack.pop()
-            continue
-        short = [
-            o for o in u.left + u.right
-            if o not in rows or len(rows[o][0]) < n
-        ]
-        if short:
-            stack.extend(short)
-            continue
-        stack.pop()
-        if row is None:
-            row = rows[u] = ([], [])
-        sl, sr = row
+    for u in _postorder(g, rows):
         a = u.score
         if not u.left and not u.right:
-            sl.extend([v + a for v in table.final_left[done:n]])
-            sr.extend([v + a for v in table.final_right[done:n]])
+            rows[u] = (
+                [v + a for v in table.final_left],
+                [v + a for v in table.final_right],
+            )
             continue
         # Where x_i has no option for a side, the column is decided by u's
         # own options there, or ends at once with score a + score(x_i).
-        ends = [a + v for v in table.scores[done:n]]
+        ends = [a + v for v in table.scores]
         has_l, has_r = bool(u.left), bool(u.right)
-        ul = _best([rows[o][1][done:n] for o in u.left], max) if has_l else ends
-        ur = _best([rows[o][0][done:n] for o in u.right], min) if has_r else ends
+        ul = _best([rows[o][1] for o in u.left], max) if has_l else ends
+        ur = _best([rows[o][0] for o in u.right], min) if has_r else ends
+        sl: list[Score] = []
+        sr: list[Score] = []
         sl_at, sr_at = sl.__getitem__, sr.__getitem__
-        for xl, xr, bl, br in zip(
-            table.left[done:n], table.right[done:n], ul, ur
-        ):
+        for xl, xr, bl, br in zip(table.left, table.right, ul, ur):
             if xl:
                 v = max(map(sr_at, xl))
                 if has_l and bl > v:
@@ -467,6 +473,7 @@ def _extend_rows(
                 sr.append(v)
             else:
                 sr.append(br)
+        rows[u] = (sl, sr)
     return rows[g]
 
 
@@ -490,52 +497,29 @@ def _set_test(sets: tuple[OutcomeSet, ...]):
     return test
 
 
-def _outcome_test(slg: Score, srg: Score, slh: Score, srh: Score):
-    if outcome_from_scores(slg, srg) is not outcome_from_scores(slh, srh):
-        return True
-    return None
-
-
 _GE_TEST = _set_test(UP_SETS)
 _LE_TEST = _set_test(DOWN_SETS)
 
 
-def _first_refutation(
+def _find(
     g: GameTerm,
     h: GameTerm,
     contexts: Iterable[GameTerm],
     ev: Optional[SumEvaluator],
-    test,
-):
-    """First context, in the caller's order, where test(g+x, h+x) hits.
+    sets: Optional[tuple[OutcomeSet, ...]],
+) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
+    """The first context, in the caller's order, that refutes, with its set.
 
-    Returns (x, hit) or None.  The scores come from rows over a context
-    table, extended only as far as the scan: a universe tuple has its
-    registered table, with rows kept in ev, and any other iterable gets
-    a throwaway table and rows.  Each id is tested once, at its first
-    position: a later position of the same id has the same scores, so it
-    can only hit where an earlier one already has, and the first hit is
-    that of a full scan.
+    A universe tuple is searched through its registry entry, with the
+    masks of other classes kept in ev as a verdict keeps them.  Any other
+    iterable gets a throwaway entry, whose masks are dropped with it.
     """
-    table = _registered_table(contexts)
-    if table is None:
-        table, rows = ContextTable(contexts), {}
+    for entry in _universe_cache.values():
+        if entry.games is contexts:
+            break
     else:
-        rows = ev.context_rows(table) if ev is not None else {}
-    size = len(table)
-    order = table.order
-    done = 0
-    for p in table.firsts:
-        i = order[p]
-        if i >= done:
-            target = min(size, max(i + 1, 2 * done, _FIRST_CHUNK))
-            slg, srg = _extend_rows(g, table, rows, target)
-            slh, srh = _extend_rows(h, table, rows, target)
-            done = min(len(slg), len(slh))
-        hit = test(slg[i], srg[i], slh[i], srh[i])
-        if hit is not None:
-            return table.contexts[p], hit
-    return None
+        entry, ev = _Universe(tuple(contexts)), None
+    return _search(g, h, entry, ev, sets)
 
 
 def find_ge_refutation(
@@ -545,7 +529,7 @@ def find_ge_refutation(
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[tuple[GameTerm, OutcomeSet]]:
     """First context x and up-set O with h+x in O but g+x not, if any."""
-    return _first_refutation(g, h, contexts, ev, _GE_TEST)
+    return _find(g, h, contexts, ev, UP_SETS)
 
 
 def find_le_refutation(
@@ -555,7 +539,7 @@ def find_le_refutation(
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[tuple[GameTerm, OutcomeSet]]:
     """First context x and down-set O with h+x in O but g+x not, if any."""
-    return _first_refutation(g, h, contexts, ev, _LE_TEST)
+    return _find(g, h, contexts, ev, DOWN_SETS)
 
 
 def find_eq_refutation(
@@ -565,7 +549,7 @@ def find_eq_refutation(
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[GameTerm]:
     """First context x where g+x and h+x have different outcomes, if any."""
-    hit = _first_refutation(g, h, contexts, ev, _outcome_test)
+    hit = _find(g, h, contexts, ev, None)
     return hit[0] if hit is not None else None
 
 
@@ -607,15 +591,28 @@ def _verdict(
     """The sound proof, else the first refutation, else Unrefuted.
 
     ``sets`` is UP_SETS for >=, DOWN_SETS for <= and None for =, whose
-    witness carries no set.  The refutation is read off the sign masks
-    of the classes of g and h, which give the witness of a row scan.
-    Those of the table's classes are cached in the universe; those of
-    any other class are kept in ``evaluator`` under the mask basis, or
-    for this call alone when none is passed.
+    witness carries no set.
     """
     if sound is not None:
         return sound
-    entry = _universe_entry(spec)
+    hit = _search(g, h, _universe_entry(spec), evaluator, sets)
+    return Unrefuted(spec) if hit is None else Refuted(*hit)
+
+
+def _search(
+    g: GameTerm,
+    h: GameTerm,
+    entry: _Universe,
+    evaluator: Optional[SumEvaluator],
+    sets: Optional[tuple[OutcomeSet, ...]],
+) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
+    """The first refutation over the entry's table, or None.
+
+    It is read off the sign masks of the classes of g and h.  Those of
+    the table's classes are cached in the entry; those of any other
+    class are kept in ``evaluator`` under the mask basis, or for this
+    call alone when none is passed.
+    """
     basis = entry.mask_basis()
     kg, kh = _esig(g), _esig(h)
     gm, hm = entry.masks.get(kg), entry.masks.get(kh)
@@ -623,8 +620,7 @@ def _verdict(
         scope = {} if evaluator is None else evaluator.context_rows(basis)
         gm = _class_masks(entry, g, kg, scope)
         hm = _class_masks(entry, h, kh, scope)
-    hit = _mask_refutation(gm, hm, basis, sets)
-    return Unrefuted(spec) if hit is None else Refuted(*hit)
+    return _mask_refutation(gm, hm, basis, sets)
 
 
 def equal(
@@ -761,23 +757,19 @@ def _mask_refutation(
     basis: _MaskBasis,
     sets: Optional[tuple[OutcomeSet, ...]],
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
-    """The hit of ``_first_refutation`` for g and h, read off their masks.
+    """The first refuting context of g and h, read off their masks.
 
     For >= the columns with h+X in up-set k and g+X not are
     ``hm[k] & ~gm[k]``.  Down-set k is the complement of up-set k ^ 1
     (L< of L>=, L<= of L>, and so on), so for <= they are
     ``gm[k ^ 1] & ~hm[k ^ 1]``.  For = they are where an outcome mask
-    differs.  The set named is the first of ``sets`` that hits at the
-    lowest set bit of their union, which is the first class in scan
-    order that hits.  The universe is sorted by ``okey``, which starts
-    with the node count, so a proper subterm comes before every game
-    holding it.  The table adds first members in scan order, each after
-    its subterms; a first member that is a subterm of another comes
-    before it and already has its id, so first members get ids in scan
-    order.  An id that is no first member's is a proper subterm of a
-    first member built after its class's first member, so it is higher
-    than that first member's id, whose bits it shares.  So the lowest
-    set bit is a first member's id.
+    differs.  Only the ids of first members are read: an id that is no
+    first member's has the bits of its class's first member, which
+    stands for it.  The table gives first members ids in increasing
+    order of position, and a later position of a class has the same
+    scores as its first one, so the lowest set bit is the first context
+    in the caller's order that refutes.  The set named is the first of
+    ``sets`` that hits there.
     """
     if sets is UP_SETS:
         diffs = [b & ~a for a, b in zip(gm, hm)]
@@ -792,6 +784,7 @@ def _mask_refutation(
     bits = 0
     for d in diffs:
         bits |= d
+    bits &= basis.firsts
     if not bits:
         return None
     low = bits & -bits
@@ -810,16 +803,18 @@ def duality_check(
     """Check that contexts refuting g >= h are exactly those refuting h <= g.
 
     Since every up-set is the complement of a down-set, the two searches
-    must flag the same contexts; this executes that theorem on the
-    enumerated universe with one scan of the score rows of g and h,
-    which stops at the first context where exactly one search hits.
+    must flag the same contexts.  This executes that theorem on the
+    universe's table by comparing the whole score rows of g and h, which
+    are kept in ``evaluator`` when one is passed.  It stays off the sign
+    masks: those of <= are built as complements of those of >=, so a
+    check on them could never fail.
     """
-
-    def one_hits(slg: Score, srg: Score, slh: Score, srh: Score):
-        if (_GE_TEST(slg, srg, slh, srh) is None) != (
-            _LE_TEST(slh, srh, slg, srg) is None
-        ):
-            return True
-        return None
-
-    return _first_refutation(g, h, universe(spec), evaluator, one_hits) is None
+    table = _universe_entry(spec).context_table()
+    rows = {} if evaluator is None else evaluator.context_rows(table)
+    slg, srg = _extend_rows(g, table, rows)
+    slh, srh = _extend_rows(h, table, rows)
+    ge, le = _GE_TEST, _LE_TEST
+    return all(
+        (ge(lg, rg, lh, rh) is None) == (le(lh, rh, lg, rg) is None)
+        for lg, rg, lh, rh in zip(slg, srg, slh, srh)
+    )

@@ -106,11 +106,11 @@ class SumEvaluator:
     keyed on term identity; results equal those of evaluating add(g, h).
 
     An evaluator is also the memory scope of order searches, and what
-    they keep here lives as long as it does: the score rows that the
-    ``find_*`` scans compute over a context table (see
-    ``order.ContextTable``), per table and game, and the sign masks that
-    verdicts build for classes outside a universe, per mask basis and
-    class.
+    they keep here lives as long as it does: the sign masks that verdicts
+    and ``find_*`` searches build for classes outside a universe's table,
+    per mask basis and class, and the whole score rows that
+    ``duality_check`` computes over a universe's context table (see
+    ``order.ContextTable``), per table and game.
     """
 
     def __init__(self) -> None:
@@ -118,9 +118,9 @@ class SumEvaluator:
         self._rows: dict[object, dict] = {}
 
     def context_rows(self, key: object) -> dict:
-        """What order searches keep for ``key``: (SL, SR) score rows keyed
-        by game for a context table, sign masks keyed by class id for a
-        mask basis."""
+        """What order searches keep for ``key``: sign masks keyed by
+        class id for a mask basis, (SL, SR) score rows keyed by game for
+        a context table."""
         return self._rows.setdefault(key, {})
 
     def final_scores(self, g: GameTerm, h: GameTerm) -> tuple[Score, Score]:

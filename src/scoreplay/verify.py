@@ -279,7 +279,7 @@ def outcome_template_sweep(bound: int = 3) -> TemplateSweep:
 
     def sum_scores(g: GameTerm) -> tuple[list, list]:
         # SL and SR of g+H for each H of h_pool, in pool order.
-        sl, sr = _extend_rows(g, table, rows, len(table))
+        sl, sr = _extend_rows(g, table, rows)
         del rows[g]
         return (list(map(sl.__getitem__, table.order)),
                 list(map(sr.__getitem__, table.order)))

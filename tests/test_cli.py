@@ -323,6 +323,27 @@ class TestDeterminismAndConfig:
         code, _ = run_cli("enum", "--scores", "0,zebra")
         assert code == 2
 
+    @pytest.mark.parametrize("bounds, code", [
+        (["--depth", "8"], 2),
+        (["--depth", "12"], 2),
+        # Small universes despite the bounds: the 5,120 games of width 5,
+        # and the five leaves, so they are searched, not refused.
+        (["--width", "100000000"], 0),
+        (["--depth", "100000000", "--width", "0"], 0),
+    ])
+    def test_huge_universe_bounds_answer_at_once(self, bounds, code):
+        done = subprocess.run(
+            [sys.executable, "-m", "scoreplay", "cmp", "0", "1", *bounds],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        if code == 2:
+            assert done.stdout == ""
+            assert "has more than 2000000 games" in done.stderr
+        else:
+            assert done.stdout == run_cli("cmp", "0", "1")[1]
+
 
 @settings(max_examples=150, deadline=None)
 @given(

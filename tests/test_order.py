@@ -33,6 +33,8 @@ from scoreplay import (
 )
 from scoreplay.core import _esig
 from scoreplay.order import (
+    DOWN_SETS,
+    UP_SETS,
     _NUM_L,
     ContextTable,
     _MaskBasis,
@@ -41,7 +43,6 @@ from scoreplay.order import (
     _extend_rows,
     _mask_refutation,
     _outcome_masks,
-    _registered_table,
     _sound_ge,
     _universe_cache,
     _universe_entry,
@@ -51,7 +52,7 @@ from scoreplay.order import (
     ge_refutation_at,
     le_refutation_at,
 )
-from scoreplay.score import set_holds
+from scoreplay.score import outcome_from_scores, set_holds
 from scoreplay.verify import sample_confluence_games
 
 import oracles
@@ -350,7 +351,7 @@ class TestContextKernel:
     @pytest.mark.parametrize("spec", [TINY, DEFAULT_UNIVERSE])
     def test_universe_table_has_one_id_per_class(self, spec):
         games = universe(spec)
-        table = _registered_table(games)
+        table = _universe_entry(spec).context_table()
         classes = {_esig(x) for x in games}
         assert len(table) == len(classes) == len(set(table.order))
         assert table.contexts == games
@@ -361,11 +362,11 @@ class TestContextKernel:
         assert [table.order[p] for p in table.firsts] == list(range(len(table)))
 
     def test_class_columns_equal_pairwise_evaluator(self, default_universe):
-        table = _registered_table(default_universe)
+        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
         assert len(table) == 380
         ev = SumEvaluator()
         for g in _deep_games()[:6] + _fraction_games()[::15]:
-            sl, sr = _extend_rows(g, table, {}, len(table))
+            sl, sr = _extend_rows(g, table, {})
             assert [(sl[i], sr[i]) for i in table.order] == [
                 ev.final_scores(g, x) for x in default_universe
             ]
@@ -381,7 +382,7 @@ class TestContextKernel:
         }
         games, contexts = pools[source]
         rng = random.Random(source)
-        ev = SumEvaluator()  # shared: rows carry over between searches
+        ev = SumEvaluator()  # shared: masks carry over between searches
         for _ in range(12):
             g, h = rng.choice(games), rng.choice(games)
             expected = _scalar_first_hits(g, h, contexts)
@@ -438,7 +439,7 @@ class TestContextKernel:
             assert equivalent(table.games[i], x)
         ev = SumEvaluator()
         for g in _deep_games()[:8] + _fraction_games()[::9]:
-            sl, sr = _extend_rows(g, table, {}, len(table))
+            sl, sr = _extend_rows(g, table, {})
             assert list(zip(sl, sr)) == [
                 ev.final_scores(g, x) for x in table.games
             ]
@@ -448,17 +449,16 @@ class TestContextKernel:
         ev = SumEvaluator()
         for a in (0, 3, -2, Fraction(1, 2)):
             rows = {}
-            sl, sr = _extend_rows(leaf(a), table, rows, len(table))
+            sl, sr = _extend_rows(leaf(a), table, rows)
             for i, x in enumerate(table.games):
                 fl, fr = final_scores(x)
                 assert (sl[i], sr[i]) == (fl + a, fr + a)
                 assert (sl[i], sr[i]) == ev.final_scores(leaf(a), x)
 
-    def test_rows_extend_lazily_and_live_in_the_evaluator(self,
-                                                          default_universe):
-        table = _registered_table(default_universe)
-        assert _registered_table(default_universe) is table
-        assert _registered_table(list(default_universe)) is None
+    def test_rows_and_masks_live_in_the_evaluator(self, default_universe):
+        entry = _universe_entry(DEFAULT_UNIVERSE)
+        table = entry.context_table()
+        assert entry.context_table() is table
         ev = SumEvaluator()
         # universe games are decided from their class masks, not rows
         assert greater_equal(leaf(0), leaf(1), DEFAULT_UNIVERSE, ev) == (
@@ -466,7 +466,6 @@ class TestContextKernel:
         )
         g, h = parse("{2|0|.}"), parse("{1|0|.}")
         assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
-        entry = _universe_entry(DEFAULT_UNIVERSE)
         masks = entry.masks
         assert {_esig(x) for x in (leaf(0), leaf(1), g, h)} <= masks.keys()
         rows = ev.context_rows(table)
@@ -481,38 +480,82 @@ class TestContextKernel:
         scope = ev.context_rows(entry.mask_basis())
         assert scope.keys() == {_esig(leaf(3)), _esig(g)}
         assert _esig(leaf(3)) not in masks and _esig(g) not in masks
-        # the find_* scans extend rows in ev; refuted by the zero context,
-        # only the first chunk is computed
-        assert find_ge_refutation(leaf(0), leaf(3), default_universe, ev) == (
-            zero(), OutcomeSet.L_GT
-        )
-        assert 0 < len(rows[leaf(0)][0]) < len(table)
-        assert 0 < len(rows[leaf(3)][0]) < len(table)
-        assert find_ge_refutation(g, h, default_universe, ev) is None
-        assert len(rows[g][0]) == len(rows[h][0]) == len(table)
+        # the find_* searches read the same masks and write no rows; a
+        # list that is not the universe tuple leaves nothing in ev
+        for contexts in (default_universe, list(default_universe)):
+            assert find_ge_refutation(leaf(0), leaf(3), contexts, ev) == (
+                zero(), OutcomeSet.L_GT
+            )
+            assert find_ge_refutation(g, h, contexts, ev) is None
+        assert rows == {}
+        assert ev._rows.keys() == {table, entry.mask_basis()}
+        # duality_check fills whole rows there
+        assert duality_check(g, h, DEFAULT_UNIVERSE, ev)
+        assert {g, h} <= rows.keys()
+        assert all(len(sl) == len(sr) == len(table) for sl, sr in rows.values())
         # another evaluator starts with no rows of its own
         assert SumEvaluator().context_rows(table) == {}
+
+    def test_first_member_ids_follow_the_callers_order(self):
+        # b is a subterm of a, so it is built before a; the first member
+        # of b's class gets one more id, after a's
+        a, b = parse("{{1|0|.}|0|.}"), parse("{1|0|.}")
+        table = ContextTable([a, b])
+        assert table.order == [2, 3]
+        assert table.games[1] is table.games[3] is b
+        hit = find_ge_refutation(leaf(0), b, [a, b])
+        assert hit == (a, OutcomeSet.L_GT)
+        assert hit == _scalar_first_hits(leaf(0), b, [a, b])[0]
 
 
 # ---------------------------------------------------------------------------
 # verdicts from class sign masks against verdicts rebuilt from the scans
 # ---------------------------------------------------------------------------
 
+def _row_scan(g, h, spec, ev, test):
+    """The first context of spec's table, in scan order, where test hits
+    on the whole score rows of g and h, with the hit; rows are kept in ev.
+    """
+    table = _universe_entry(spec).context_table()
+    rows = ev.context_rows(table)
+    slg, srg = _extend_rows(g, table, rows)
+    slh, srh = _extend_rows(h, table, rows)
+    for p in table.firsts:
+        i = table.order[p]
+        hit = test(slg[i], srg[i], slh[i], srh[i])
+        if hit is not None:
+            return table.contexts[p], hit
+    return None
+
+
+def _set_test(sets):
+    """First set of ``sets`` with h+x in it but g+x not, from scores."""
+    def test(slg, srg, slh, srh):
+        return next((o for o in sets if set_holds(o, slh, srh)
+                     and not set_holds(o, slg, srg)), None)
+    return test
+
+
+def _outcomes_differ(slg, srg, slh, srh):
+    if outcome_from_scores(slg, srg) is not outcome_from_scores(slh, srh):
+        return True
+    return None
+
+
 def _scan_verdicts(g, h, spec, ev):
-    """(>=, <=, =) from the sound rules and the find_* row scans."""
-    games = universe(spec)
+    """(>=, <=, =) from the sound rules and a scan of whole score rows."""
     ge = _sound_ge(g, h)
     if ge is None:
-        hit = find_ge_refutation(g, h, games, ev)
+        hit = _row_scan(g, h, spec, ev, _set_test(UP_SETS))
         ge = Unrefuted(spec) if hit is None else Refuted(*hit)
     le = _sound_ge(h, g)
     if le is None:
-        hit = find_le_refutation(g, h, games, ev)
+        hit = _row_scan(g, h, spec, ev, _set_test(DOWN_SETS))
         le = Unrefuted(spec) if hit is None else Refuted(*hit)
     eq = _sound_ge(g, h) and _sound_ge(h, g)
     if eq is None:
-        x = find_eq_refutation(g, h, games, ev)
-        eq = Unrefuted(spec) if x is None else Refuted(x)
+        hit = _row_scan(g, h, spec, ev, _outcomes_differ)
+        eq = Unrefuted(spec) if hit is None else Refuted(hit[0])
     return ge, le, eq
 
 
@@ -549,7 +592,7 @@ class TestClassMasks:
 
     def test_pairs_outside_the_universe_are_decided_from_masks(
             self, default_universe):
-        table = _registered_table(default_universe)
+        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
         pool = (list(default_universe[::40]) + _deep_games()[:20]
                 + _fraction_games()[::12])
         rng = random.Random(1414)
@@ -576,8 +619,8 @@ class TestClassMasks:
             for h in default_universe[::97]:
                 greater_equal(g, h)
                 equal(g, h)
-        masks = _universe_entry(DEFAULT_UNIVERSE).masks
-        assert 0 < len(masks) <= len(_registered_table(default_universe))
+        entry = _universe_entry(DEFAULT_UNIVERSE)
+        assert 0 < len(entry.masks) <= len(entry.context_table())
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +633,7 @@ DEPTH_TWO = UniverseSpec(2, 1, (-2, -1, 0, 1, 2))  # 7,205 classes
 def _row_class_masks(table, g, rows):
     """The sign masks of g's class read off g's full score row: the
     reference for ``_class_masks``.  ``rows`` may be shared by calls."""
-    sl, sr = _extend_rows(g, table, rows, len(table))
+    sl, sr = _extend_rows(g, table, rows)
     # Highest id first, so that id i lands on bit i.
     sl, sr = sl[::-1], sr[::-1]
     return (
@@ -608,7 +651,7 @@ def _fresh_entry(spec):
     """A registry entry over spec's games and table with no masks yet."""
     games = universe(spec)
     entry = _Universe(games)
-    entry.table = _registered_table(games)
+    entry.table = _universe_entry(spec).context_table()
     return entry
 
 
@@ -630,7 +673,7 @@ def _mismatched_classes(entry):
 def _games_outside(spec):
     """Games whose classes are mostly not in spec's table: deep ones,
     Fraction-shifted ones, and for depth 2 some of depth 3."""
-    classes = _class_games(_registered_table(universe(spec)))
+    classes = _class_games(_universe_entry(spec).context_table())
     if spec == DEFAULT_UNIVERSE:
         return _deep_games() + [
             shift(g, Fraction(1, 3)) for g in classes[::11]

@@ -279,8 +279,6 @@ def cmd_tf(args, config: RunConfig, out: _Output) -> int:
 
 
 def cmd_verify(args, config: RunConfig, out: _Output) -> int:
-    if args.grid < 0:
-        raise CliError("--grid must be >= 0")
     if args.grid < _MIN_GRID:
         raise CliError(
             f"--grid must be >= {_MIN_GRID}: smaller grids cannot realize "

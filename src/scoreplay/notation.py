@@ -60,13 +60,13 @@ class DuplicateOptionWarning(UserWarning):
     """An option set literal repeated a member; duplicates collapse."""
 
 
-#: Deepest brace nesting parse() accepts.  The parser, the printer and
-#: ``to_structured`` work from explicit stacks, and final scores and class
-#: ids are computed without recursion, but ``SumEvaluator``, ``add`` and
-#: ``canonicalize`` still recurse with up to a few Python frames per
-#: level of a term, so a term this deep stays inside the default
-#: recursion limit; deeper input is a ParseError instead of a
-#: RecursionError.
+#: Deepest brace nesting parse() accepts.  The parser, the printer,
+#: ``to_structured`` and ``add`` work from explicit stacks, and final
+#: scores and class ids are computed without recursion, but
+#: ``SumEvaluator`` and ``canonicalize`` still recurse with up to a few
+#: Python frames per level of a term, so a term this deep stays inside
+#: the default recursion limit; deeper input is a ParseError instead of
+#: a RecursionError.
 MAX_NESTING = 200
 
 _NUMBER = r"[+-]?\d+(?:\.\d+)?(?:/\d+)?"

@@ -119,8 +119,19 @@ def _too_large(spec: UniverseSpec) -> bool:
     return any(n > UNIVERSE_SIZE_LIMIT for n in _level_sizes(spec))
 
 
+#: Sign masks of one class over a table: SL > 0, SL >= 0, SR > 0 and
+#: SR >= 0, the tests of UP_SETS in order (see ``_class_masks``).
+_Masks = tuple[int, int, int, int]
+
+#: The per-column scores ``ContextTable.signs`` compares: the root score
+#: of a context with no Left option, or with no Right option; the best
+#: number among its Left options (max), or among its Right options (min).
+_END_L, _END_R, _NUM_L, _NUM_R = range(4)
+
+
 class ContextTable:
-    """Dense, children-first index of the downward closure of some contexts.
+    """Dense, children-first index of the downward closure of some
+    contexts, with everything an order search reads off it.
 
     ``games[i]`` is the term with id ``i``; every option of it has a
     smaller id.  ``scores[i]`` is its root score, ``left[i]`` and
@@ -129,11 +140,25 @@ class ContextTable:
     the caller's sequence and ``order[p]`` the id that stands for
     ``contexts[p]``; ``firsts`` lists, in increasing order, the first
     position p of each id in ``order``, and ``first_of`` maps each
-    context's ``_esig`` class id to that first position.  The ids of
-    those first members increase with their position: a first member
-    already built as a subterm of an earlier context gets one more id,
-    after that context's, so the lowest id that refutes is the first
-    refuting context in the caller's order.
+    context's ``_esig`` class id to that first position.  The id of a
+    first member holds that very context, ``games[order[p]] is
+    contexts[p]``, and ``first_bits`` has the bits of those ids.  Their
+    ids increase with their position: a first member already built as a
+    subterm of an earlier context gets one more id, after that
+    context's, so the lowest id that refutes is the first refuting
+    context in the caller's order.
+
+    The rest is what ``_class_masks`` reads, computed once here.
+    ``full`` has one bit per id and ``digits`` formats a mask as one
+    digit per id.  ``values[kind]`` maps each score v to the mask of the
+    columns whose score of that kind is v, and ``always[kind]`` holds the
+    columns a threshold of that kind leaves set whatever the shift: for
+    _END_R the contexts that have a Right option, for _NUM_R those with
+    no number among their Right options (a min over no terms).  ``deep``
+    lists, in id order, each column whose context has an option that is
+    not a number, with the ids of those options on each side.  ``masks``
+    caches the sign masks of the table's own classes by class id, so it
+    never holds more than len(table) entries.
 
     Equivalent contexts share the id of the first of them, and the table
     is built over those first members and their subterms only.  This
@@ -153,8 +178,9 @@ class ContextTable:
     """
 
     __slots__ = (
-        "contexts", "order", "firsts", "first_of", "games", "scores", "left",
-        "right", "final_left", "final_right",
+        "contexts", "order", "firsts", "first_of", "first_bits", "games",
+        "scores", "left", "right", "final_left", "final_right", "full",
+        "digits", "values", "always", "deep", "masks",
     )
 
     def __init__(self, contexts: Iterable[GameTerm]) -> None:
@@ -182,6 +208,36 @@ class ContextTable:
         self.order = [ids[k] for k in keys]
         self.firsts = tuple(first.values())
         self.first_of = first
+        self.first_bits = sum(1 << i for i in ids.values())
+        n = len(self.games)
+        self.full = (1 << n) - 1
+        self.digits = f"0{n}b"
+        self.values: tuple[dict[Score, int], ...] = ({}, {}, {}, {})
+        self.always = [0, 0, 0, 0]
+        self.deep: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+        self.masks: dict[int, _Masks] = {}
+        scores = self.scores
+        number = [not l and not r for l, r in zip(self.left, self.right)]
+        for i, (xl, xr) in enumerate(zip(self.left, self.right)):
+            bit = 1 << i
+            num_l = [scores[j] for j in xl if number[j]]
+            num_r = [scores[j] for j in xr if number[j]]
+            if not xl:
+                self._threshold(_END_L, scores[i], bit)
+            if xr:
+                self.always[_END_R] |= bit
+            else:
+                self._threshold(_END_R, scores[i], bit)
+            if num_l:
+                self._threshold(_NUM_L, max(num_l), bit)
+            if num_r:
+                self._threshold(_NUM_R, min(num_r), bit)
+            else:
+                self.always[_NUM_R] |= bit
+            deep_l = tuple(j for j in xl if not number[j])
+            deep_r = tuple(j for j in xr if not number[j])
+            if deep_l or deep_r:
+                self.deep.append((i, deep_l, deep_r))
 
     def _append(self, t: GameTerm, index: dict[GameTerm, int]) -> None:
         self.games.append(t)
@@ -191,79 +247,16 @@ class ContextTable:
         self.final_left.append(t.sl)
         self.final_right.append(t.sr)
 
+    def _threshold(self, kind: int, v: Score, bit: int) -> None:
+        self.values[kind][v] = self.values[kind].get(v, 0) | bit
+
     def __len__(self) -> int:
         return len(self.games)
-
-
-#: Sign masks of one class over a table: SL > 0, SL >= 0, SR > 0 and
-#: SR >= 0, the tests of UP_SETS in order (see ``_class_masks``).
-_Masks = tuple[int, int, int, int]
-
-#: The per-column scores ``_MaskBasis.signs`` compares: the root score of
-#: a context with no Left option, or with no Right option; the best
-#: number among its Left options (max), or among its Right options (min).
-_END_L, _END_R, _NUM_L, _NUM_R = range(4)
-
-
-class _MaskBasis:
-    """The columns of a table that ``_class_masks`` reads by threshold.
-
-    ``values[kind]`` maps each score v to the mask of the columns whose
-    score of that kind is v, and ``always[kind]`` holds the columns a
-    threshold of that kind leaves set whatever the shift: for _END_R the
-    contexts that have a Right option, for _NUM_R those with no number
-    among their Right options (a min over no terms).  ``deep`` lists, in
-    id order, each column whose context has an option that is not a
-    number, with the ids of those options on each side.  ``first_at``
-    maps the id of each class's first member to that context, and
-    ``firsts`` has the bits of those ids.
-    """
-
-    __slots__ = (
-        "full", "digits", "values", "always", "deep", "first_at", "firsts",
-    )
-
-    def __init__(self, table: ContextTable) -> None:
-        n = len(table)
-        self.full = (1 << n) - 1
-        self.first_at = {
-            table.order[p]: table.contexts[p] for p in table.firsts
-        }
-        self.firsts = sum(1 << i for i in self.first_at)
-        self.digits = f"0{n}b"
-        self.values: tuple[dict[Score, int], ...] = ({}, {}, {}, {})
-        self.always = [0, 0, 0, 0]
-        self.deep: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        scores = table.scores
-        number = [not l and not r for l, r in zip(table.left, table.right)]
-        for i, (xl, xr) in enumerate(zip(table.left, table.right)):
-            bit = 1 << i
-            num_l = [scores[j] for j in xl if number[j]]
-            num_r = [scores[j] for j in xr if number[j]]
-            if not xl:
-                self._add(_END_L, scores[i], bit)
-            if xr:
-                self.always[_END_R] |= bit
-            else:
-                self._add(_END_R, scores[i], bit)
-            if num_l:
-                self._add(_NUM_L, max(num_l), bit)
-            if num_r:
-                self._add(_NUM_R, min(num_r), bit)
-            else:
-                self.always[_NUM_R] |= bit
-            deep_l = tuple(j for j in xl if not number[j])
-            deep_r = tuple(j for j in xr if not number[j])
-            if deep_l or deep_r:
-                self.deep.append((i, deep_l, deep_r))
-
-    def _add(self, kind: int, v: Score, bit: int) -> None:
-        self.values[kind][v] = self.values[kind].get(v, 0) | bit
 
     def signs(self, kind: int, s: Score) -> tuple[int, int]:
         """The columns whose score v of ``kind`` has v + s > 0, and v + s >= 0.
 
-        Not cached: s may be any score of a game outside the universe, and
+        Not cached: s may be any score of a game outside the table, and
         the loop runs over the few distinct scores of the table.
         """
         gt = ge = self.always[kind]
@@ -276,30 +269,18 @@ class _MaskBasis:
 
 
 class _Universe:
-    """Contexts and, once searched, their table, its mask basis and the
-    sign masks of the table's classes built so far.  A universe's entry
-    lives in the registry; ``find_*`` over any other contexts builds a
-    throwaway one."""
+    """A universe's games and, once searched, their context table."""
 
-    __slots__ = ("games", "table", "basis", "masks")
+    __slots__ = ("games", "table")
 
     def __init__(self, games: tuple[GameTerm, ...]) -> None:
         self.games = games
         self.table: Optional[ContextTable] = None
-        self.basis: Optional[_MaskBasis] = None
-        # Keyed by ``_esig`` class id; only classes of the table get an
-        # entry, so it never holds more than len(table) of them.
-        self.masks: dict[int, _Masks] = {}
 
     def context_table(self) -> ContextTable:
         if self.table is None:
             self.table = ContextTable(self.games)
         return self.table
-
-    def mask_basis(self) -> _MaskBasis:
-        if self.basis is None:
-            self.basis = _MaskBasis(self.context_table())
-        return self.basis
 
 
 _universe_cache: dict[UniverseSpec, _Universe] = {}
@@ -510,16 +491,14 @@ def _find(
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
     """The first context, in the caller's order, that refutes, with its set.
 
-    A universe tuple is searched through its registry entry, with the
+    A universe tuple is searched through its registry table, with the
     masks of other classes kept in ev as a verdict keeps them.  Any other
-    iterable gets a throwaway entry, whose masks are dropped with it.
+    iterable gets a throwaway table, whose masks are dropped with it.
     """
     for entry in _universe_cache.values():
         if entry.games is contexts:
-            break
-    else:
-        entry, ev = _Universe(tuple(contexts)), None
-    return _search(g, h, entry, ev, sets)
+            return _search(g, h, entry.context_table(), ev, sets)
+    return _search(g, h, ContextTable(contexts), None, sets)
 
 
 def find_ge_refutation(
@@ -595,32 +574,32 @@ def _verdict(
     """
     if sound is not None:
         return sound
-    hit = _search(g, h, _universe_entry(spec), evaluator, sets)
+    table = _universe_entry(spec).context_table()
+    hit = _search(g, h, table, evaluator, sets)
     return Unrefuted(spec) if hit is None else Refuted(*hit)
 
 
 def _search(
     g: GameTerm,
     h: GameTerm,
-    entry: _Universe,
+    table: ContextTable,
     evaluator: Optional[SumEvaluator],
     sets: Optional[tuple[OutcomeSet, ...]],
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
-    """The first refutation over the entry's table, or None.
+    """The first refutation over the table, or None.
 
     It is read off the sign masks of the classes of g and h.  Those of
-    the table's classes are cached in the entry; those of any other
-    class are kept in ``evaluator`` under the mask basis, or for this
+    the table's classes are cached in the table; those of any other
+    class are kept in the evaluator's scope for the table, or for this
     call alone when none is passed.
     """
-    basis = entry.mask_basis()
     kg, kh = _esig(g), _esig(h)
-    gm, hm = entry.masks.get(kg), entry.masks.get(kh)
+    gm, hm = table.masks.get(kg), table.masks.get(kh)
     if gm is None or hm is None:
-        scope = {} if evaluator is None else evaluator.context_rows(basis)
-        gm = _class_masks(entry, g, kg, scope)
-        hm = _class_masks(entry, h, kh, scope)
-    return _mask_refutation(gm, hm, basis, sets)
+        scope = {} if evaluator is None else evaluator.context_rows(table)
+        gm = _class_masks(table, g, kg, scope)
+        hm = _class_masks(table, h, kh, scope)
+    return _mask_refutation(gm, hm, table, sets)
 
 
 def equal(
@@ -642,17 +621,17 @@ def equal(
 
 
 def _class_masks(
-    entry: _Universe, g: GameTerm, k: int, scope: dict[int, _Masks]
+    table: ContextTable, g: GameTerm, k: int, scope: dict
 ) -> _Masks:
-    """The sign masks of g's class k, which may be any class.
+    """The sign masks of g's class k over the table; k may be any class.
 
     Bit i of each mask stands for the context of table id i, and is set
     where g+X is in the mask's set.  Equivalent games have equal rows
     (the argument in the ``ContextTable`` docstring, with the roles of g
     and X swapped), so one entry serves the whole class.  The masks of
-    the table's classes are kept in ``entry.masks``, which so never holds
-    more than len(table) entries, and those of any other class, which are
-    unbounded in number, in ``scope``.
+    the table's own classes go to ``table.masks``, and those of any other
+    class, which are unbounded in number, to ``scope`` under their class
+    id.
 
     The masks of a game u are built from those of its option classes,
     which are built first, without its score row; nothing here needs u
@@ -666,7 +645,7 @@ def _class_masks(
       score shifted by b (see ``_extend_rows``) and SR(u + b) = u.sr + b.
       Left's moves to the numbers among the options of X therefore pass
       the tests exactly on the columns where that best number exceeds
-      (or reaches) -u.sr: one threshold mask of ``_MaskBasis``, and
+      (or reaches) -u.sr: one threshold mask of the table, and
       Right's moves likewise with u.sl.
     - When the mover has no move in u or in X, play ends at
       u.score + score(X): a threshold mask on the root scores of the
@@ -680,12 +659,11 @@ def _class_masks(
     A universe of depth 1 has no such column, so its masks need no
     per-column work at all.
     """
-    known = entry.masks
+    known = table.masks
     masks = known.get(k) or scope.get(k)
     if masks is not None:
         return masks
-    basis = entry.mask_basis()
-    table_classes = entry.context_table().first_of
+    table_classes = table.first_of
     for u in _postorder(g, ()):
         ku = _esig(u)
         if ku in known or ku in scope:
@@ -698,28 +676,28 @@ def _class_masks(
                 l_gt |= m[2]
                 l_ge |= m[3]
         else:
-            l_gt, l_ge = basis.signs(_END_L, a)
-        gt, ge = basis.signs(_NUM_L, u.sr)
+            l_gt, l_ge = table.signs(_END_L, a)
+        gt, ge = table.signs(_NUM_L, u.sr)
         l_gt |= gt
         l_ge |= ge
         if u.right:
-            r_gt = r_ge = basis.full
+            r_gt = r_ge = table.full
             for o in u.right:
                 m = known.get(_esig(o)) or scope[_esig(o)]
                 r_gt &= m[0]
                 r_ge &= m[1]
         else:
-            r_gt, r_ge = basis.signs(_END_R, a)
-        gt, ge = basis.signs(_NUM_R, u.sl)
+            r_gt, r_ge = table.signs(_END_R, a)
+        gt, ge = table.signs(_NUM_R, u.sl)
         r_gt &= gt
         r_ge &= ge
-        if basis.deep:
+        if table.deep:
             rows = [
-                bytearray(format(m, basis.digits)[::-1], "ascii")
+                bytearray(format(m, table.digits)[::-1], "ascii")
                 for m in (l_gt, l_ge, r_gt, r_ge)
             ]
             lgt, lge, rgt, rge = rows
-            for i, xl, xr in basis.deep:
+            for i, xl, xr in table.deep:
                 for j in xl:
                     lgt[i] |= rgt[j]
                     lge[i] |= rge[j]
@@ -754,7 +732,7 @@ def _outcome_masks(m: _Masks, full: int) -> tuple[int, int, int, int, int]:
 def _mask_refutation(
     gm: _Masks,
     hm: _Masks,
-    basis: _MaskBasis,
+    table: ContextTable,
     sets: Optional[tuple[OutcomeSet, ...]],
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
     """The first refuting context of g and h, read off their masks.
@@ -768,15 +746,15 @@ def _mask_refutation(
     stands for it.  The table gives first members ids in increasing
     order of position, and a later position of a class has the same
     scores as its first one, so the lowest set bit is the first context
-    in the caller's order that refutes.  The set named is the first of
-    ``sets`` that hits there.
+    in the caller's order that refutes; a first member's id holds that
+    context.  The set named is the first of ``sets`` that hits there.
     """
     if sets is UP_SETS:
         diffs = [b & ~a for a, b in zip(gm, hm)]
     elif sets is DOWN_SETS:
         diffs = [gm[k ^ 1] & ~hm[k ^ 1] for k in range(4)]
     else:
-        full = basis.full
+        full = table.full
         diffs = [
             a ^ b
             for a, b in zip(_outcome_masks(gm, full), _outcome_masks(hm, full))
@@ -784,11 +762,11 @@ def _mask_refutation(
     bits = 0
     for d in diffs:
         bits |= d
-    bits &= basis.firsts
+    bits &= table.first_bits
     if not bits:
         return None
     low = bits & -bits
-    x = basis.first_at[low.bit_length() - 1]
+    x = table.games[low.bit_length() - 1]
     if sets is None:
         return x, None
     return x, next(o for o, d in zip(sets, diffs) if d & low)
@@ -805,7 +783,7 @@ def duality_check(
     Since every up-set is the complement of a down-set, the two searches
     must flag the same contexts.  This executes that theorem on the
     universe's table by comparing the whole score rows of g and h, which
-    are kept in ``evaluator`` when one is passed.  It stays off the sign
+    are kept in the evaluator's scope for the table when one is passed.  It stays off the sign
     masks: those of <= are built as complements of those of >=, so a
     check on them could never fail.
     """

@@ -43,19 +43,38 @@ def add(g: GameTerm, h: GameTerm) -> GameTerm:
 
     Root scores add; each side's options are the moves in one component
     with the other carried along.  The result is a plain term, so every
-    other operation applies to it uniformly.
+    other operation applies to it uniformly.  Component pairs are summed
+    children first from an explicit stack, so depth costs no Python
+    recursion.
     """
-    key = (g, h)
-    res = _add_cache.get(key)
-    if res is None:
+    cache = _add_cache
+    res = cache.get((g, h))
+    if res is not None:
+        return res
+    # (a, b, ready): ready once the pairs of a's and b's options are done
+    stack = [(g, h, False)]
+    while stack:
+        a, b, ready = stack.pop()
+        if not ready:
+            if (a, b) in cache:
+                continue
+            pending = [
+                (o, b, False) for o in a.left + a.right if (o, b) not in cache
+            ] + [
+                (a, o, False) for o in b.left + b.right if (a, o) not in cache
+            ]
+            if pending:
+                stack.append((a, b, True))
+                stack += pending
+                continue
         res = game(
-            [add(o, h) for o in g.left] + [add(g, o) for o in h.left],
-            g.score + h.score,
-            [add(o, h) for o in g.right] + [add(g, o) for o in h.right],
+            [cache[o, b] for o in a.left] + [cache[a, o] for o in b.left],
+            a.score + b.score,
+            [cache[o, b] for o in a.right] + [cache[a, o] for o in b.right],
         )
-        _add_cache[key] = res
-        _add_cache[(h, g)] = res  # the expansion is symmetric
-    return res
+        cache[a, b] = res
+        cache[b, a] = res  # the expansion is symmetric
+    return cache[g, h]
 
 
 def is_numeric(g: GameTerm) -> bool:
@@ -106,22 +125,21 @@ class SumEvaluator:
     keyed on term identity; results equal those of evaluating add(g, h).
 
     An evaluator is also the memory scope of order searches, and what
-    they keep here lives as long as it does: the sign masks that verdicts
-    and ``find_*`` searches build for classes outside a universe's table,
-    per mask basis and class, and the whole score rows that
-    ``duality_check`` computes over a universe's context table (see
-    ``order.ContextTable``), per table and game.
+    they keep here lives as long as it does.  Each context table (see
+    ``order.ContextTable``) gets one scope, holding the sign masks that
+    verdicts and ``find_*`` searches build for classes outside the
+    table, and the whole score rows that ``duality_check`` computes.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple[GameTerm, GameTerm], tuple[Score, Score]] = {}
         self._rows: dict[object, dict] = {}
 
-    def context_rows(self, key: object) -> dict:
-        """What order searches keep for ``key``: sign masks keyed by
-        class id for a mask basis, (SL, SR) score rows keyed by game for
-        a context table."""
-        return self._rows.setdefault(key, {})
+    def context_rows(self, table: object) -> dict:
+        """What order searches keep for one context table: sign masks
+        keyed by int class id, and (SL, SR) score rows keyed by game.
+        The keys never collide, as a game compares equal only to itself."""
+        return self._rows.setdefault(table, {})
 
     def final_scores(self, g: GameTerm, h: GameTerm) -> tuple[Score, Score]:
         memo = self._memo

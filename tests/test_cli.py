@@ -209,7 +209,7 @@ class TestVerify:
         assert (code, out) == (2, "")
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--grid" in captured.err
+        assert "--grid must be >= 3" in captured.err
 
     @pytest.mark.parametrize("grid", ["0", "1", "2"])
     def test_grid_too_small_for_every_triple_is_a_usage_error(

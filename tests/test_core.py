@@ -345,6 +345,14 @@ class TestDeepChains:
             assert shift(shift(c, 1), -1) is c
         assert final_scores(shift(left, 1)) == (self.N, self.N + 1)
 
+    def test_add(self):
+        from scoreplay import add, parse
+
+        c = _left_chain(self.N)
+        assert add(c, leaf(3)) is shift(c, 3)
+        h = parse("{1|0|-1}")
+        assert add(c, h) is negate(add(negate(c), negate(h)))
+
     def test_is_canonical(self):
         from scoreplay import DEFAULT_UNIVERSE, is_canonical
 

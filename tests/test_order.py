@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from scoreplay import (
     DEFAULT_UNIVERSE,
+    GameTerm,
     Proved,
     Refuted,
     SoundRule,
@@ -37,7 +39,6 @@ from scoreplay.order import (
     UP_SETS,
     _NUM_L,
     ContextTable,
-    _MaskBasis,
     _Universe,
     _class_masks,
     _extend_rows,
@@ -466,18 +467,16 @@ class TestContextKernel:
         )
         g, h = parse("{2|0|.}"), parse("{1|0|.}")
         assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
-        masks = entry.masks
+        masks = table.masks
         assert {_esig(x) for x in (leaf(0), leaf(1), g, h)} <= masks.keys()
-        rows = ev.context_rows(table)
-        assert rows == {}
+        scope = ev.context_rows(table)
+        assert scope == {}
         # so are games outside the universe, whose masks live in ev
         assert greater_equal(leaf(0), leaf(3), DEFAULT_UNIVERSE, ev) == (
             Refuted(zero(), OutcomeSet.L_GT)
         )
         g = parse("{3|0|.}")
         assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
-        assert rows == {}
-        scope = ev.context_rows(entry.mask_basis())
         assert scope.keys() == {_esig(leaf(3)), _esig(g)}
         assert _esig(leaf(3)) not in masks and _esig(g) not in masks
         # the find_* searches read the same masks and write no rows; a
@@ -487,10 +486,11 @@ class TestContextKernel:
                 zero(), OutcomeSet.L_GT
             )
             assert find_ge_refutation(g, h, contexts, ev) is None
-        assert rows == {}
-        assert ev._rows.keys() == {table, entry.mask_basis()}
-        # duality_check fills whole rows there
+        assert scope.keys() == {_esig(leaf(3)), _esig(g)}
+        assert ev._rows.keys() == {table}
+        # duality_check fills whole rows in the same scope, keyed by game
         assert duality_check(g, h, DEFAULT_UNIVERSE, ev)
+        rows = {k: v for k, v in scope.items() if isinstance(k, GameTerm)}
         assert {g, h} <= rows.keys()
         assert all(len(sl) == len(sr) == len(table) for sl, sr in rows.values())
         # another evaluator starts with no rows of its own
@@ -599,15 +599,14 @@ class TestClassMasks:
         pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(120)]
         assert any(_esig(g) not in table.first_of for g, _ in pairs)
         _check_against_scans(pairs, DEFAULT_UNIVERSE)
-        masks = _universe_entry(DEFAULT_UNIVERSE).masks
-        assert all(k in table.first_of for k in masks)
+        assert all(k in table.first_of for k in table.masks)
 
     def test_outcome_masks_partition_every_column(self, default_universe):
-        entry = _universe_entry(DEFAULT_UNIVERSE)
-        full, scope = entry.mask_basis().full, {}
+        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        full, scope = table.full, {}
         for g in list(default_universe) + _deep_games() + _fraction_games():
             parts = _outcome_masks(
-                _class_masks(entry, g, _esig(g), scope), full)
+                _class_masks(table, g, _esig(g), scope), full)
             union = 0
             for part in parts:
                 assert union & part == 0
@@ -619,8 +618,8 @@ class TestClassMasks:
             for h in default_universe[::97]:
                 greater_equal(g, h)
                 equal(g, h)
-        entry = _universe_entry(DEFAULT_UNIVERSE)
-        assert 0 < len(entry.masks) <= len(entry.context_table())
+        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        assert 0 < len(table.masks) <= len(table)
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +646,11 @@ def _mask(flags):
     return int("".join(["1" if f else "0" for f in flags]), 2)
 
 
-def _fresh_entry(spec):
-    """A registry entry over spec's games and table with no masks yet."""
-    games = universe(spec)
-    entry = _Universe(games)
-    entry.table = _universe_entry(spec).context_table()
-    return entry
+def _fresh_table(spec):
+    """A copy of spec's registered table with no masks yet."""
+    table = copy.copy(_universe_entry(spec).context_table())
+    table.masks = {}
+    return table
 
 
 def _class_games(table):
@@ -660,11 +658,11 @@ def _class_games(table):
     return [table.games[table.order[p]] for p in table.firsts]
 
 
-def _mismatched_classes(entry):
-    """Classes in ``entry.masks`` whose masks differ from the reference."""
-    table, rows = entry.table, {}
+def _mismatched_classes(table):
+    """Classes in ``table.masks`` whose masks differ from the reference."""
+    rows = {}
     return [
-        k for k, masks in entry.masks.items()
+        k for k, masks in table.masks.items()
         if masks != _row_class_masks(
             table, table.games[table.order[table.first_of[k]]], rows)
     ]
@@ -687,6 +685,22 @@ def _games_outside(spec):
     ]
 
 
+def _extra_id_games():
+    """A universe-like tuple whose table has an id that is no first member's.
+
+    {1|0|-1} and {1|1|-1} are equivalent, so t, a game with both as Left
+    options and the last game in term order, gives the second an id.
+    """
+    t = game([parse("{1|0|-1}"), parse("{1|1|-1}")], 0, ())
+    return tuple(sorted(
+        [leaf(0), leaf(1), leaf(-1), t] + [parse(x) for x in (
+            "{0|0|.}", "{1|0|0}", "{1|0|-1}", "{-1|0|0}", "{0|1|1}",
+            "{1|1|-1}", "{-1|1|-1}",
+        )],
+        key=term_order_key,
+    ))
+
+
 class TestMaskRecurrence:
     @pytest.mark.parametrize("spec, classes", [
         (TINY, 30),
@@ -694,56 +708,54 @@ class TestMaskRecurrence:
         (UniverseSpec(1, 2, (Fraction(-1, 2), 0, Fraction(1, 2), 1)), 184),
     ])
     def test_every_class_matches_its_row(self, spec, classes):
-        entry = _fresh_entry(spec)
-        for g in _class_games(entry.table):
-            _class_masks(entry, g, _esig(g), {})
-        assert len(entry.masks) == classes
+        table = _fresh_table(spec)
+        for g in _class_games(table):
+            _class_masks(table, g, _esig(g), {})
+        assert len(table.masks) == classes
         # depth 1: every option of every context is a number
-        assert entry.basis.deep == []
-        assert _mismatched_classes(entry) == []
+        assert table.deep == []
+        assert _mismatched_classes(table) == []
 
     def test_seeded_depth_two_classes_and_their_options(self):
-        entry = _fresh_entry(DEPTH_TWO)
-        table = entry.table
+        table = _fresh_table(DEPTH_TWO)
         assert len(table) == len(table.firsts) == 7205
         for g in random.Random(1515).sample(_class_games(table), 60):
-            _class_masks(entry, g, _esig(g), {})
+            _class_masks(table, g, _esig(g), {})
         # 80 contexts have numbers for options, or none
-        assert len(entry.basis.deep) == 7205 - 80
-        assert len(entry.masks) > 100
-        assert _mismatched_classes(entry) == []
+        assert len(table.deep) == 7205 - 80
+        assert len(table.masks) > 100
+        assert _mismatched_classes(table) == []
 
     def test_building_a_class_builds_its_option_classes(self):
-        entry = _fresh_entry(DEPTH_TWO)
+        table = _fresh_table(DEPTH_TWO)
         g = parse("{{1|0|.}|0|{.|1|2}}")
-        masks = _class_masks(entry, g, _esig(g), {})
+        masks = _class_masks(table, g, _esig(g), {})
         subterms = [g, parse("{1|0|.}"), parse("{.|1|2}"), leaf(1), leaf(2)]
-        assert entry.masks.keys() == {_esig(t) for t in subterms}
-        assert all(k in entry.table.first_of for k in entry.masks)
-        assert _class_masks(entry, g, _esig(g), {}) is masks
-        assert _mismatched_classes(entry) == []
+        assert table.masks.keys() == {_esig(t) for t in subterms}
+        assert all(k in table.first_of for k in table.masks)
+        assert _class_masks(table, g, _esig(g), {}) is masks
+        assert _mismatched_classes(table) == []
 
     @pytest.mark.parametrize("spec", [DEFAULT_UNIVERSE, DEPTH_TWO])
     def test_classes_outside_the_table_match_their_rows(self, spec):
-        entry = _fresh_entry(spec)
-        table, rows, scope = entry.table, {}, {}
+        table = _fresh_table(spec)
+        rows, scope = {}, {}
         outside = [
             g for g in _games_outside(spec) if _esig(g) not in table.first_of
         ]
         assert len(outside) >= 7
         for g in outside:
-            assert _class_masks(entry, g, _esig(g), scope) == (
+            assert _class_masks(table, g, _esig(g), scope) == (
                 _row_class_masks(table, g, rows)
             ), render(g)
         assert {_esig(g) for g in outside} <= scope.keys()
-        assert entry.masks.keys() <= table.first_of.keys()
-        assert _mismatched_classes(entry) == []
+        assert table.masks.keys() <= table.first_of.keys()
+        assert _mismatched_classes(table) == []
 
     def test_verdicts_outside_the_table_keep_no_universe_masks(
             self, default_universe):
-        entry = _universe_entry(DEFAULT_UNIVERSE)
-        table = entry.context_table()
-        before = len(entry.masks)
+        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        before = len(table.masks)
         rng, ev = random.Random(1616), SumEvaluator()
         for i in range(1, 201):
             # no score of g or h, nor of their subterms, is an integer
@@ -752,34 +764,43 @@ class TestMaskRecurrence:
             v = greater_equal(g, h)
             if i % 10 == 0:  # the Fraction row scans are the slow part
                 assert v == _scan_verdicts(g, h, DEFAULT_UNIVERSE, ev)[0]
-        assert entry.masks.keys() <= table.first_of.keys()
-        assert len(entry.masks) == before
+        assert table.masks.keys() <= table.first_of.keys()
+        assert len(table.masks) == before
 
     def test_cross_check_catches_a_broken_threshold(self, monkeypatch):
-        signs = _MaskBasis.signs
+        signs = ContextTable.signs
 
         def broken(self, kind, s):
             # v + s > 0 tested as v + s >= 0 for Left's number options
             gt, ge = signs(self, kind, s)
             return (ge, ge) if kind == _NUM_L else (gt, ge)
 
-        monkeypatch.setattr(_MaskBasis, "signs", broken)
-        entry = _fresh_entry(DEFAULT_UNIVERSE)
-        for g in _class_games(entry.table):
-            _class_masks(entry, g, _esig(g), {})
-        assert _mismatched_classes(entry) != []
+        monkeypatch.setattr(ContextTable, "signs", broken)
+        table = _fresh_table(DEFAULT_UNIVERSE)
+        for g in _class_games(table):
+            _class_masks(table, g, _esig(g), {})
+        assert _mismatched_classes(table) != []
+
+    def test_first_members_hold_their_contexts(self):
+        # the invariant _mask_refutation reads a witness by: the id of a
+        # first member is that very context, and only those ids are read
+        a, b = parse("{{1|0|.}|0|.}"), parse("{1|0|.}")
+        tables = [
+            _universe_entry(DEFAULT_UNIVERSE).context_table(),
+            _universe_entry(DEPTH_TWO).context_table(),
+            ContextTable([a, b]),
+            ContextTable(_extra_id_games()),
+        ]
+        assert len(tables[3]) == len(tables[3].firsts) + 1
+        for table in tables:
+            for p in table.firsts:
+                assert table.games[table.order[p]] is table.contexts[p]
+            assert table.first_bits == sum(
+                1 << table.order[p] for p in table.firsts)
 
     def test_ids_outside_the_first_members_get_mask_verdicts(self):
-        # {1|0|-1} and {1|1|-1} are equivalent, so a game with both as Left
-        # options gives the second an id although it is no first member.
-        t = game([parse("{1|0|-1}"), parse("{1|1|-1}")], 0, ())
-        games = tuple(sorted(
-            [leaf(0), leaf(1), leaf(-1), t] + [parse(x) for x in (
-                "{0|0|.}", "{1|0|0}", "{1|0|-1}", "{-1|0|0}", "{0|1|1}",
-                "{1|1|-1}", "{-1|1|-1}",
-            )],
-            key=term_order_key,
-        ))
+        games = _extra_id_games()
+        t = games[-1]
         spec = UniverseSpec(2, 2, (-1, 0, 1))  # too large to enumerate
         entry = _Universe(games)
         table = entry.context_table()
@@ -788,13 +809,13 @@ class TestMaskRecurrence:
         extra = parse("{1|1|-1}")
         assert table.games.index(extra) == len(table) - 2
         for g in games:
-            _class_masks(entry, g, _esig(g), {})
-        assert len(entry.masks) == len(table.firsts)
-        assert _mismatched_classes(entry) == []
+            _class_masks(table, g, _esig(g), {})
+        assert len(table.masks) == len(table.firsts)
+        assert _mismatched_classes(table) == []
         # the last id, t's, is a column too: outcome N against P there
         top = 1 << (len(table) - 1)
         assert _mask_refutation(
-            (top, top, 0, 0), (0, 0, top, top), entry.basis, None
+            (top, top, 0, 0), (0, 0, top, top), table, None
         ) == (t, None)
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(_universe_cache, spec, entry)

@@ -223,27 +223,35 @@ def canonicalize(
     ``order_seed`` randomizes the choice among applicable reductions
     (None keeps the deterministic default).  Step paths refer to option
     positions in the term each subterm had when its reductions ran.
+    Tree positions are walked from an explicit stack, Left options then
+    Right, each finished before its parent reduces, so depth costs no
+    Python recursion.
     """
     ev = evaluator or SumEvaluator()
     rng = random.Random(order_seed) if order_seed is not None else None
     trace = ReductionTrace()
-
-    def canon(t: GameTerm, path: NodePath) -> GameTerm:
-        new_left = [
-            canon(o, path + ((Side.LEFT, i),)) for i, o in enumerate(t.left)
-        ]
-        new_right = [
-            canon(o, path + ((Side.RIGHT, i),)) for i, o in enumerate(t.right)
-        ]
-        node = game(new_left, t.score, new_right)
+    # (position's term, its path, the canonical forms of its options so far)
+    stack: list[tuple[GameTerm, NodePath, list[GameTerm]]] = [(g, (), [])]
+    while True:
+        t, path, done = stack[-1]
+        n, nl = len(done), len(t.left)
+        if n < nl:
+            stack.append((t.left[n], path + ((Side.LEFT, n),), []))
+            continue
+        if n < nl + len(t.right):
+            stack.append((t.right[n - nl], path + ((Side.RIGHT, n - nl),), []))
+            continue
+        stack.pop()
+        node = game(done[:nl], t.score, done[nl:])
         while True:
             hit = reduce_step(node, spec, mode, rng, ev)
             if hit is None:
-                return node
+                break
             node, step = hit
             trace.steps.append(replace(step, path=path))
-
-    return canon(g, ()), trace
+        if not stack:
+            return node, trace
+        stack[-1][2].append(node)
 
 
 def is_canonical(

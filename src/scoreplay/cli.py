@@ -71,7 +71,7 @@ class RunConfig:
 def _flag_or_env(value, name: str, fallback):
     # Read at each call, not when the parser is built, so one parser
     # serves every call while the environment may change between them.
-    return value if value is not None else os.environ.get(name, str(fallback))
+    return value if value is not None else os.environ.get(name, fallback)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,13 +118,12 @@ def _config(args: argparse.Namespace) -> RunConfig:
         width = int(_flag_or_env(args.width, "SCOREPLAY_WIDTH", d.max_width))
     except ValueError:
         raise CliError("SCOREPLAY_DEPTH and SCOREPLAY_WIDTH must be integers") from None
-    scores_text = _flag_or_env(
-        args.scores, "SCOREPLAY_SCORES", ",".join(str(s) for s in d.scores)
-    )
-    try:
-        scores = tuple(parse_score(s) for s in scores_text.split(","))
-    except ParseError as exc:
-        raise CliError(f"bad --scores: {exc}") from None
+    scores = _flag_or_env(args.scores, "SCOREPLAY_SCORES", d.scores)
+    if isinstance(scores, str):
+        try:
+            scores = tuple(parse_score(s) for s in scores.split(","))
+        except ParseError as exc:
+            raise CliError(f"bad --scores: {exc}") from None
     if depth < 0 or width < 0:
         raise CliError("--depth and --width must be >= 0")
     try:
@@ -222,11 +221,11 @@ def cmd_cmp(args, config: RunConfig, out: _Output) -> int:
     # classes are cached with it, those of any other g or h are kept here
     # for all three relations.
     ev = SumEvaluator()
+    term, other = render(g), render(h)
     for rel, fn in ((">=", greater_equal), ("<=", less_equal), ("=", equal)):
         v = fn(g, h, config.spec, ev)
         out.text(f"{rel} {v}")
-        out.record(relation=rel, term=render(g), other=render(h),
-                   **_verdict_fields(v))
+        out.record(relation=rel, term=term, other=other, **_verdict_fields(v))
     return EXIT_OK
 
 

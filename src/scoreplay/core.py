@@ -148,9 +148,10 @@ def game(
         nodes = 1 + sum(o.node_count for o in opts)
         okey = (
             nodes,
-            _score_key(s),
-            tuple(o.okey for o in lt),
-            tuple(o.okey for o in rt),
+            abs(s),
+            s < 0,
+            tuple([o.okey for o in lt]),
+            tuple([o.okey for o in rt]),
         )
         sl = max([o.sr for o in lt]) if lt else s
         sr = min([o.sl for o in rt]) if rt else s
@@ -167,9 +168,10 @@ def leaf(score: Score) -> GameTerm:
 def term_order_key(g: GameTerm) -> tuple:
     """Total-order key: equal keys iff identical terms.
 
-    Orders by node count, then score (simplest first), then recursively by
-    options.  Used to store option sets canonically and to pick
-    deterministic minimal witnesses.
+    One flat tuple ``(node count, |score|, score < 0, left option keys,
+    right option keys)``: by node count, then score (simplest first),
+    then recursively by options.  Used to store option sets canonically
+    and to pick deterministic minimal witnesses.
     """
     return g.okey
 

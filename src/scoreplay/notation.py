@@ -61,12 +61,13 @@ class DuplicateOptionWarning(UserWarning):
 
 
 #: Deepest brace nesting parse() accepts.  The parser, the printer,
-#: ``to_structured`` and ``add`` work from explicit stacks, and final
-#: scores and class ids are computed without recursion, but
-#: ``SumEvaluator`` and ``canonicalize`` still recurse with up to a few
-#: Python frames per level of a term, so a term this deep stays inside
-#: the default recursion limit; deeper input is a ParseError instead of
-#: a RecursionError.
+#: ``to_structured``, ``add``, ``SumEvaluator`` and ``canonicalize`` work
+#: from explicit stacks, and final scores and class ids are computed
+#: without recursion.  What still recurses, once per level, is
+#: ``rulesets.tf_to_game`` and ``from_structured``, and ``tf_parse`` and
+#: ``from_structured`` hold their input to this bound too; a term this
+#: deep stays inside the default recursion limit, and deeper input is a
+#: ParseError instead of a RecursionError.
 MAX_NESTING = 200
 
 _NUMBER = r"[+-]?\d+(?:\.\d+)?(?:/\d+)?"

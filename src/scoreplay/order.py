@@ -134,18 +134,17 @@ class ContextTable:
     contexts, with everything an order search reads off it.
 
     ``games[i]`` is the term with id ``i``; every option of it has a
-    smaller id.  ``scores[i]`` is its root score, ``left[i]`` and
-    ``right[i]`` its options as id tuples, and ``final_left[i]`` and
-    ``final_right[i]`` its final scores played alone.  ``contexts`` is
-    the caller's sequence and ``order[p]`` the id that stands for
-    ``contexts[p]``; ``firsts`` lists, in increasing order, the first
-    position p of each id in ``order``, and ``first_of`` maps each
-    context's ``_esig`` class id to that first position.  The id of a
-    first member holds that very context, ``games[order[p]] is
-    contexts[p]``, and ``first_bits`` has the bits of those ids.  Their
-    ids increase with their position: a first member already built as a
-    subterm of an earlier context gets one more id, after that
-    context's, so the lowest id that refutes is the first refuting
+    smaller id, and its final scores played alone are ``games[i].sl``
+    and ``.sr``.  ``scores[i]`` is its root score, and ``left[i]`` and
+    ``right[i]`` its options as id tuples.  ``order[p]`` is the id that
+    stands for the caller's p-th context, and ``first_of`` maps each
+    context's ``_esig`` class id to the first position p of its class,
+    in increasing order of p.  The id of a first member holds that very
+    context: ``games[order[p]]`` is the p-th context for each p in
+    ``first_of.values()``, and ``first_bits`` has the bits of those
+    ids.  Their ids increase with their position: a first member already
+    built as a subterm of an earlier context gets one more id, after
+    that context's, so the lowest id that refutes is the first refuting
     context in the caller's order.
 
     The rest is what ``_class_masks`` reads, computed once here.
@@ -178,14 +177,13 @@ class ContextTable:
     """
 
     __slots__ = (
-        "contexts", "order", "firsts", "first_of", "first_bits", "games",
-        "scores", "left", "right", "final_left", "final_right", "full",
-        "digits", "values", "always", "deep", "masks",
+        "order", "first_of", "first_bits", "games", "scores", "left",
+        "right", "full", "digits", "values", "always", "deep", "masks",
     )
 
     def __init__(self, contexts: Iterable[GameTerm]) -> None:
-        self.contexts = tuple(contexts)
-        keys = [_esig(x) for x in self.contexts]
+        contexts = tuple(contexts)
+        keys = [_esig(x) for x in contexts]
         first: dict[int, int] = {}
         for p, k in enumerate(keys):
             first.setdefault(k, p)
@@ -194,11 +192,9 @@ class ContextTable:
         self.scores: list[Score] = []
         self.left: list[tuple[int, ...]] = []
         self.right: list[tuple[int, ...]] = []
-        self.final_left: list[Score] = []
-        self.final_right: list[Score] = []
         ids: dict[int, int] = {}
         for k, p in first.items():
-            x = self.contexts[p]
+            x = contexts[p]
             if x in index:
                 self._append(x, index)
             for t in _postorder(x, index):
@@ -206,7 +202,6 @@ class ContextTable:
                 self._append(t, index)
             ids[k] = len(self.games) - 1
         self.order = [ids[k] for k in keys]
-        self.firsts = tuple(first.values())
         self.first_of = first
         self.first_bits = sum(1 << i for i in ids.values())
         n = len(self.games)
@@ -244,8 +239,6 @@ class ContextTable:
         self.scores.append(t.score)
         self.left.append(tuple(index[o] for o in t.left))
         self.right.append(tuple(index[o] for o in t.right))
-        self.final_left.append(t.sl)
-        self.final_right.append(t.sr)
 
     def _threshold(self, kind: int, v: Score, bit: int) -> None:
         self.values[kind][v] = self.values[kind].get(v, 0) | bit
@@ -419,15 +412,15 @@ def _extend_rows(
     A number a has no options, so the moves of a + X are exactly the
     moves of X with a carried along, and every position ends with a's
     score added; by induction on X, a + X plays as X does with each
-    final score shifted by a.  Its row is the table's final-score row
-    plus a.
+    final score shifted by a.  Its row is the final scores of the
+    table's games, played alone, plus a.
     """
     for u in _postorder(g, rows):
         a = u.score
         if not u.left and not u.right:
             rows[u] = (
-                [v + a for v in table.final_left],
-                [v + a for v in table.final_right],
+                [x.sl + a for x in table.games],
+                [x.sr + a for x in table.games],
             )
             continue
         # Where x_i has no option for a side, the column is decided by u's

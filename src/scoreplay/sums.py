@@ -45,7 +45,8 @@ def add(g: GameTerm, h: GameTerm) -> GameTerm:
     with the other carried along.  The result is a plain term, so every
     other operation applies to it uniformly.  Component pairs are summed
     children first from an explicit stack, so depth costs no Python
-    recursion.
+    recursion.  The cache holds one entry per ordered pair; interning
+    makes add(h, g) the very term add(g, h) is.
     """
     cache = _add_cache
     res = cache.get((g, h))
@@ -73,7 +74,6 @@ def add(g: GameTerm, h: GameTerm) -> GameTerm:
             [cache[o, b] for o in a.right] + [cache[a, o] for o in b.right],
         )
         cache[a, b] = res
-        cache[b, a] = res  # the expansion is symmetric
     return cache[g, h]
 
 
@@ -120,9 +120,11 @@ def outcome_template(
 class SumEvaluator:
     """Componentwise final scores of pairwise sums, without expansion.
 
-    Evaluates SL/SR of g+h by recursing on component pairs, so bounded
-    searches over many contexts never materialize sum terms.  The memo is
-    keyed on term identity; results equal those of evaluating add(g, h).
+    Evaluates SL/SR of g+h from those of its component pairs, children
+    first from an explicit stack, so sum terms are never materialized and
+    depth costs no Python recursion.  The memo holds one entry per
+    ordered pair evaluated, keyed on term identity; results equal those
+    of evaluating add(g, h).
 
     An evaluator is also the memory scope of order searches, and what
     they keep here lives as long as it does.  Each context table (see
@@ -143,28 +145,41 @@ class SumEvaluator:
 
     def final_scores(self, g: GameTerm, h: GameTerm) -> tuple[Score, Score]:
         memo = self._memo
-        key = (g, h)
-        val = memo.get(key)
-        if val is None:
-            fs = self.final_scores
-            if g.left or h.left:
+        val = memo.get((g, h))
+        if val is not None:
+            return val
+        # (a, b, ready): ready once the pairs of a's and b's options are done
+        stack = [(g, h, False)]
+        while stack:
+            a, b, ready = stack.pop()
+            if not ready:
+                if (a, b) in memo:
+                    continue
+                pending = [
+                    (o, b, False) for o in a.left + a.right if (o, b) not in memo
+                ] + [
+                    (a, o, False) for o in b.left + b.right if (a, o) not in memo
+                ]
+                if pending:
+                    stack.append((a, b, True))
+                    stack += pending
+                    continue
+            if a.left or b.left:
                 sl = max(
-                    [fs(o, h)[1] for o in g.left]
-                    + [fs(g, o)[1] for o in h.left]
+                    [memo[o, b][1] for o in a.left]
+                    + [memo[a, o][1] for o in b.left]
                 )
             else:
-                sl = g.score + h.score
-            if g.right or h.right:
+                sl = a.score + b.score
+            if a.right or b.right:
                 sr = min(
-                    [fs(o, h)[0] for o in g.right]
-                    + [fs(g, o)[0] for o in h.right]
+                    [memo[o, b][0] for o in a.right]
+                    + [memo[a, o][0] for o in b.right]
                 )
             else:
-                sr = g.score + h.score
-            val = (sl, sr)
-            memo[key] = val
-            memo[(h, g)] = val
-        return val
+                sr = a.score + b.score
+            memo[a, b] = (sl, sr)
+        return memo[g, h]
 
     def outcome(self, g: GameTerm, h: GameTerm) -> Outcome:
         return outcome_from_scores(*self.final_scores(g, h))

@@ -319,6 +319,20 @@ class TestDeterminismAndConfig:
         assert run_cli("enum")[0] == 2
         assert cli_mod._parser is parser
 
+    def test_default_scores_are_not_parsed_from_text(self, monkeypatch):
+        import scoreplay.cli as cli_mod
+        from scoreplay import DEFAULT_UNIVERSE
+
+        for name in ("SCOREPLAY_DEPTH", "SCOREPLAY_WIDTH", "SCOREPLAY_SCORES"):
+            monkeypatch.delenv(name, raising=False)
+
+        def refuse(text):
+            raise AssertionError(f"parsed {text!r}")
+
+        monkeypatch.setattr(cli_mod, "parse_score", refuse)
+        args = cli_mod.build_parser().parse_args(["enum"])
+        assert cli_mod._config(args).spec == DEFAULT_UNIVERSE
+
     def test_bad_scores_flag(self):
         code, _ = run_cli("enum", "--scores", "0,zebra")
         assert code == 2

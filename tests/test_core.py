@@ -353,6 +353,29 @@ class TestDeepChains:
         h = parse("{1|0|-1}")
         assert add(c, h) is negate(add(negate(c), negate(h)))
 
+    def test_final_scores_of_sum(self):
+        from scoreplay import add, final_scores, final_scores_of_sum
+
+        c = _left_chain(self.N)
+        h = parse("{1|0|-1}")
+        assert final_scores_of_sum(c, h) == final_scores(add(c, h))
+
+    def test_canonicalize(self):
+        from scoreplay import DEFAULT_UNIVERSE, ReductionKind, canonicalize
+
+        # {3|0|4} and {3|1|4} are equivalent, so one dominates the other
+        t = parse("{{3|0|4},{3|1|4}|0|.}")
+        expected = parse("{{3|0|4}|0|.}")
+        for k in range(1, self.N + 1):
+            t = game([t], k, [])
+            expected = game([expected], k, [])
+        reduced, trace = canonicalize(t, DEFAULT_UNIVERSE)
+        assert reduced is expected
+        [step] = trace.steps
+        assert step.kind is ReductionKind.DOMINATION
+        assert step.removed is parse("{3|1|4}")
+        assert step.path == ((Side.LEFT, 0),) * self.N
+
     def test_is_canonical(self):
         from scoreplay import DEFAULT_UNIVERSE, is_canonical
 

@@ -355,12 +355,12 @@ class TestContextKernel:
         table = _universe_entry(spec).context_table()
         classes = {_esig(x) for x in games}
         assert len(table) == len(classes) == len(set(table.order))
-        assert table.contexts == games
         for x, i in zip(games, table.order):
             rep = table.games[i]
             assert equivalent(rep, x)
             assert term_order_key(rep) <= term_order_key(x)
-        assert [table.order[p] for p in table.firsts] == list(range(len(table)))
+        assert [table.order[p] for p in table.first_of.values()] == list(
+            range(len(table)))
 
     def test_class_columns_equal_pairwise_evaluator(self, default_universe):
         table = _universe_entry(DEFAULT_UNIVERSE).context_table()
@@ -520,11 +520,12 @@ def _row_scan(g, h, spec, ev, test):
     rows = ev.context_rows(table)
     slg, srg = _extend_rows(g, table, rows)
     slh, srh = _extend_rows(h, table, rows)
-    for p in table.firsts:
+    contexts = universe(spec)
+    for p in table.first_of.values():
         i = table.order[p]
         hit = test(slg[i], srg[i], slh[i], srh[i])
         if hit is not None:
-            return table.contexts[p], hit
+            return contexts[p], hit
     return None
 
 
@@ -655,7 +656,7 @@ def _fresh_table(spec):
 
 def _class_games(table):
     """The first member of each class of the table, in scan order."""
-    return [table.games[table.order[p]] for p in table.firsts]
+    return [table.games[table.order[p]] for p in table.first_of.values()]
 
 
 def _mismatched_classes(table):
@@ -718,7 +719,7 @@ class TestMaskRecurrence:
 
     def test_seeded_depth_two_classes_and_their_options(self):
         table = _fresh_table(DEPTH_TWO)
-        assert len(table) == len(table.firsts) == 7205
+        assert len(table) == len(table.first_of) == 7205
         for g in random.Random(1515).sample(_class_games(table), 60):
             _class_masks(table, g, _esig(g), {})
         # 80 contexts have numbers for options, or none
@@ -785,18 +786,19 @@ class TestMaskRecurrence:
         # the invariant _mask_refutation reads a witness by: the id of a
         # first member is that very context, and only those ids are read
         a, b = parse("{{1|0|.}|0|.}"), parse("{1|0|.}")
-        tables = [
-            _universe_entry(DEFAULT_UNIVERSE).context_table(),
-            _universe_entry(DEPTH_TWO).context_table(),
-            ContextTable([a, b]),
-            ContextTable(_extra_id_games()),
-        ]
-        assert len(tables[3]) == len(tables[3].firsts) + 1
-        for table in tables:
-            for p in table.firsts:
-                assert table.games[table.order[p]] is table.contexts[p]
+        extra = ContextTable(_extra_id_games())
+        assert len(extra) == len(extra.first_of) + 1
+        for table, contexts in [
+            (_universe_entry(DEFAULT_UNIVERSE).context_table(),
+             universe(DEFAULT_UNIVERSE)),
+            (_universe_entry(DEPTH_TWO).context_table(), universe(DEPTH_TWO)),
+            (ContextTable([a, b]), [a, b]),
+            (extra, _extra_id_games()),
+        ]:
+            for p in table.first_of.values():
+                assert table.games[table.order[p]] is contexts[p]
             assert table.first_bits == sum(
-                1 << table.order[p] for p in table.firsts)
+                1 << table.order[p] for p in table.first_of.values())
 
     def test_ids_outside_the_first_members_get_mask_verdicts(self):
         games = _extra_id_games()
@@ -804,13 +806,13 @@ class TestMaskRecurrence:
         spec = UniverseSpec(2, 2, (-1, 0, 1))  # too large to enumerate
         entry = _Universe(games)
         table = entry.context_table()
-        assert len(table) == len(table.firsts) + 1
+        assert len(table) == len(table.first_of) + 1
         # the extra id is {1|1|-1}, built as a subterm of t, the last game
         extra = parse("{1|1|-1}")
         assert table.games.index(extra) == len(table) - 2
         for g in games:
             _class_masks(table, g, _esig(g), {})
-        assert len(table.masks) == len(table.firsts)
+        assert len(table.masks) == len(table.first_of)
         assert _mismatched_classes(table) == []
         # the last id, t's, is a column too: outcome N against P there
         top = 1 << (len(table) - 1)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from scoreplay import (
     SumEvaluator,
     add,
+    clear_caches,
     distinguishing_context,
     final_scores,
     final_scores_of_sum,
@@ -21,9 +22,15 @@ from scoreplay import (
     vertices,
     zero,
 )
+from scoreplay import sums
+from scoreplay.verify import sample_confluence_games
 
 import oracles
 from conftest import terms
+
+
+def _subterms(g):
+    return {v for _, v in vertices(g)}
 
 
 class TestAdd:
@@ -44,6 +51,18 @@ class TestAdd:
     @given(terms(max_depth=1), terms(max_depth=1))
     def test_commutative(self, g, h):
         assert add(g, h) is add(h, g)
+
+    def test_one_cache_entry_per_summed_pair(self):
+        # no subterm of g is one of h, so no pair is its own flip
+        g, h = parse("{{1|0|.},2|0|-1}"), parse("{3|4|{-2|5|.}}")
+        pairs = len(_subterms(g)) * len(_subterms(h))
+        assert pairs == 20
+        clear_caches()
+        s = add(g, h)
+        assert len(sums._add_cache) == pairs
+        # the flipped sum computes its own pairs and interns to s
+        assert add(h, g) is s
+        assert len(sums._add_cache) == 2 * pairs
 
     @given(terms(max_depth=1), terms(max_depth=1), terms(max_depth=1))
     @settings(max_examples=40)
@@ -175,6 +194,25 @@ class TestSumEvaluator:
         for g in tiny_universe[::5]:
             for h in tiny_universe[::5]:
                 assert ev.final_scores(g, h) == final_scores(add(g, h))
+
+    def test_one_memo_entry_per_evaluated_pair(self):
+        g, h = parse("{{1|0|.},2|0|-1}"), parse("{3|4|{-2|5|.}}")
+        ev = SumEvaluator()
+        ev.final_scores(g, h)
+        assert len(ev._memo) == len(_subterms(g)) * len(_subterms(h)) == 20
+
+    def test_matches_the_oracles_on_sampled_pairs(self):
+        games = sample_confluence_games(300, seed=19)
+        rng, ev = random.Random(19), SumEvaluator()
+        for _ in range(300):
+            g, h = rng.choice(games), rng.choice(games)
+            memo = {}
+            comps = (oracles.raw(g), oracles.raw(h))
+            played = (
+                oracles.play_left(comps, memo), oracles.play_right(comps, memo)
+            )
+            assert ev.final_scores(g, h) == ev.final_scores(h, g) == played
+            assert final_scores_of_sum(g, h) == played
 
     def test_outcome_shortcut(self):
         g, h = parse("{1|0|.}"), parse("{.|0|-1}")

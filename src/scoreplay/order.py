@@ -19,7 +19,7 @@ from .core import (
     GameTerm, Score, as_score, equivalent, game, leaf, render, _esig, _postorder,
     _score_key,
 )
-from .score import _SET_TESTS, OutcomeSet, set_holds
+from .score import _SET_TESTS, OutcomeSet
 from .sums import SumEvaluator, is_numeric
 
 __all__ = [
@@ -364,34 +364,18 @@ def _sound_ge(g: GameTerm, h: GameTerm) -> Optional[Proved]:
     return None
 
 
-def _refutation_at(
-    g: GameTerm,
-    h: GameTerm,
-    x: GameTerm,
-    ev: SumEvaluator,
-    sets: tuple[OutcomeSet, ...],
-) -> Optional[OutcomeSet]:
-    """First set O in ``sets`` with h+x in O but g+x not, if any."""
-    slg, srg = ev.final_scores(g, x)
-    slh, srh = ev.final_scores(h, x)
-    for o in sets:
-        if set_holds(o, slh, srh) and not set_holds(o, slg, srg):
-            return o
-    return None
-
-
 def ge_refutation_at(
     g: GameTerm, h: GameTerm, x: GameTerm, ev: SumEvaluator
 ) -> Optional[OutcomeSet]:
     """First up-set O with h+x in O but g+x not, if any."""
-    return _refutation_at(g, h, x, ev, UP_SETS)
+    return _GE_TEST(*ev.final_scores(g, x), *ev.final_scores(h, x))
 
 
 def le_refutation_at(
     g: GameTerm, h: GameTerm, x: GameTerm, ev: SumEvaluator
 ) -> Optional[OutcomeSet]:
     """First down-set O with h+x in O but g+x not, if any."""
-    return _refutation_at(g, h, x, ev, DOWN_SETS)
+    return _LE_TEST(*ev.final_scores(g, x), *ev.final_scores(h, x))
 
 
 _Rows = tuple[list[Score], list[Score]]

@@ -7,6 +7,8 @@ components along: a move in G+H is a move in exactly one of them.
 
 from __future__ import annotations
 
+from typing import Container, Iterator
+
 from .core import (
     GameTerm,
     Score,
@@ -44,37 +46,52 @@ def add(g: GameTerm, h: GameTerm) -> GameTerm:
     Root scores add; each side's options are the moves in one component
     with the other carried along.  The result is a plain term, so every
     other operation applies to it uniformly.  Component pairs are summed
-    children first from an explicit stack, so depth costs no Python
-    recursion.  The cache holds one entry per ordered pair; interning
-    makes add(h, g) the very term add(g, h) is.
+    in the order of ``_pair_postorder``, the walk ``SumEvaluator`` shares,
+    so depth costs no Python recursion.  The cache holds one entry per
+    ordered pair; interning makes add(h, g) the very term add(g, h) is,
+    so a caller that needs only the term sums a pair one way round.
     """
     cache = _add_cache
     res = cache.get((g, h))
     if res is not None:
         return res
+    for a, b in _pair_postorder(g, h, cache):
+        cache[a, b] = game(
+            [cache[o, b] for o in a.left] + [cache[a, o] for o in b.left],
+            a.score + b.score,
+            [cache[o, b] for o in a.right] + [cache[a, o] for o in b.right],
+        )
+    return cache[g, h]
+
+
+def _pair_postorder(
+    g: GameTerm, h: GameTerm, done: Container[tuple[GameTerm, GameTerm]]
+) -> Iterator[tuple[GameTerm, GameTerm]]:
+    """Component pairs of g+h not in ``done``, each after its option pairs.
+
+    The pair twin of ``core._postorder``: the option pairs of (a, b) are
+    (o, b) for each option o of a and (a, o) for each option o of b.  The
+    caller stores each pair's value in ``done`` before it asks for the
+    next pair, so a pair reached twice is yielded once.  Walks an explicit
+    stack, so depth costs no Python recursion.
+    """
     # (a, b, ready): ready once the pairs of a's and b's options are done
     stack = [(g, h, False)]
     while stack:
         a, b, ready = stack.pop()
         if not ready:
-            if (a, b) in cache:
+            if (a, b) in done:
                 continue
             pending = [
-                (o, b, False) for o in a.left + a.right if (o, b) not in cache
+                (o, b, False) for o in a.left + a.right if (o, b) not in done
             ] + [
-                (a, o, False) for o in b.left + b.right if (a, o) not in cache
+                (a, o, False) for o in b.left + b.right if (a, o) not in done
             ]
             if pending:
                 stack.append((a, b, True))
                 stack += pending
                 continue
-        res = game(
-            [cache[o, b] for o in a.left] + [cache[a, o] for o in b.left],
-            a.score + b.score,
-            [cache[o, b] for o in a.right] + [cache[a, o] for o in b.right],
-        )
-        cache[a, b] = res
-    return cache[g, h]
+        yield a, b
 
 
 def is_numeric(g: GameTerm) -> bool:
@@ -120,11 +137,11 @@ def outcome_template(
 class SumEvaluator:
     """Componentwise final scores of pairwise sums, without expansion.
 
-    Evaluates SL/SR of g+h from those of its component pairs, children
-    first from an explicit stack, so sum terms are never materialized and
-    depth costs no Python recursion.  The memo holds one entry per
-    ordered pair evaluated, keyed on term identity; results equal those
-    of evaluating add(g, h).
+    Evaluates SL/SR of g+h from those of its component pairs, in the
+    order of ``_pair_postorder``, the walk ``add`` shares, so sum terms
+    are never materialized and depth costs no Python recursion.  The
+    memo holds one entry per ordered pair evaluated, keyed on term
+    identity; results equal those of evaluating add(g, h).
 
     An evaluator is also the memory scope of order searches, and what
     they keep here lives as long as it does.  Each context table (see
@@ -148,22 +165,7 @@ class SumEvaluator:
         val = memo.get((g, h))
         if val is not None:
             return val
-        # (a, b, ready): ready once the pairs of a's and b's options are done
-        stack = [(g, h, False)]
-        while stack:
-            a, b, ready = stack.pop()
-            if not ready:
-                if (a, b) in memo:
-                    continue
-                pending = [
-                    (o, b, False) for o in a.left + a.right if (o, b) not in memo
-                ] + [
-                    (a, o, False) for o in b.left + b.right if (a, o) not in memo
-                ]
-                if pending:
-                    stack.append((a, b, True))
-                    stack += pending
-                    continue
+        for a, b in _pair_postorder(g, h, memo):
             if a.left or b.left:
                 sl = max(
                     [memo[o, b][1] for o in a.left]

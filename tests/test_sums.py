@@ -53,16 +53,19 @@ class TestAdd:
         assert add(g, h) is add(h, g)
 
     def test_one_cache_entry_per_summed_pair(self):
-        # no subterm of g is one of h, so no pair is its own flip
-        g, h = parse("{{1|0|.},2|0|-1}"), parse("{3|4|{-2|5|.}}")
-        pairs = len(_subterms(g)) * len(_subterms(h))
-        assert pairs == 20
-        clear_caches()
-        s = add(g, h)
-        assert len(sums._add_cache) == pairs
-        # the flipped sum computes its own pairs and interns to s
-        assert add(h, g) is s
-        assert len(sums._add_cache) == 2 * pairs
+        # no subterm of either g is one of h, so no pair is its own flip;
+        # the second g has one option on both sides, so the walk reaches
+        # that option's pairs twice
+        h = parse("{3|4|{-2|5|.}}")
+        for text, pairs in (("{{1|0|.},2|0|-1}", 20), ("{{1|0|.}|0|{1|0|.}}", 12)):
+            g = parse(text)
+            assert len(_subterms(g)) * len(_subterms(h)) == pairs
+            clear_caches()
+            s = add(g, h)
+            assert len(sums._add_cache) == pairs
+            # the flipped sum computes its own pairs and interns to s
+            assert add(h, g) is s
+            assert len(sums._add_cache) == 2 * pairs
 
     @given(terms(max_depth=1), terms(max_depth=1), terms(max_depth=1))
     @settings(max_examples=40)
@@ -196,10 +199,16 @@ class TestSumEvaluator:
                 assert ev.final_scores(g, h) == final_scores(add(g, h))
 
     def test_one_memo_entry_per_evaluated_pair(self):
-        g, h = parse("{{1|0|.},2|0|-1}"), parse("{3|4|{-2|5|.}}")
-        ev = SumEvaluator()
-        ev.final_scores(g, h)
-        assert len(ev._memo) == len(_subterms(g)) * len(_subterms(h)) == 20
+        # the second g reaches its one option's pairs from both sides
+        h = parse("{3|4|{-2|5|.}}")
+        for text, pairs, scores in (
+            ("{{1|0|.},2|0|-1}", 20, (6, 2)),
+            ("{{1|0|.}|0|{1|0|.}}", 12, (6, 3)),
+        ):
+            g = parse(text)
+            ev = SumEvaluator()
+            assert ev.final_scores(g, h) == scores == final_scores(add(g, h))
+            assert len(ev._memo) == len(_subterms(g)) * len(_subterms(h)) == pairs
 
     def test_matches_the_oracles_on_sampled_pairs(self):
         games = sample_confluence_games(300, seed=19)

@@ -2,8 +2,11 @@ import hashlib
 
 import pytest
 
+import scoreplay.verify
 from scoreplay import (
+    DEFAULT_UNIVERSE,
     SumEvaluator,
+    add,
     UniverseSpec,
     leaf,
     outcome,
@@ -59,6 +62,22 @@ def test_partial_order_suite():
 
 def test_identity_suite():
     assert verify_identity(SMALL).passed
+
+
+def test_identity_sums_each_pair_one_way(monkeypatch):
+    # g + (-g) and (-g) + g are one term, so only one of them is summed
+    calls = []
+
+    def recording_add(g, h):
+        calls.append((g, h))
+        return add(g, h)
+
+    monkeypatch.setattr(scoreplay.verify, "add", recording_add)
+    res = verify_identity(DEFAULT_UNIVERSE)
+    assert res.passed
+    assert res.checks[1].details == "games=1275 failures=0"
+    recorded = set(calls)
+    assert not [(g, h) for g, h in recorded if g is not h and (h, g) in recorded]
 
 
 def test_reduction_safety_suite():

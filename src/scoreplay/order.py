@@ -9,11 +9,13 @@ with the universe bounds that were searched.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .core import (
     GameTerm, Score, as_score, equivalent, game, leaf, render, _esig, _postorder,
@@ -128,6 +130,11 @@ _Masks = tuple[int, int, int, int]
 #: number among its Left options (max), or among its Right options (min).
 _END_L, _END_R, _NUM_L, _NUM_R = range(4)
 
+#: One side of one level of ``ContextTable.levels``: the level's ids with
+#: an option on that side, a getter of those columns of a row, and one
+#: getter per option index (see ``_level_side``).
+_Side = tuple[tuple[int, ...], Callable, tuple[Callable, ...]]
+
 
 class ContextTable:
     """Dense, children-first index of the downward closure of some
@@ -159,6 +166,15 @@ class ContextTable:
     caches the sign masks of the table's own classes by class id, so it
     never holds more than len(table) entries.
 
+    ``levels`` is the schedule ``_extend_rows`` fills rows by.  An id's
+    height is its game's depth: 0 for a number and otherwise 1 + the
+    highest height of its options, so every option of a column has a
+    lower height.
+    ``levels[h - 1]`` is a (Left, Right) pair for height h: each side
+    holds the ids of that height with an option on that side (see
+    ``_level_side``), or is None where none has one.  A table of numbers
+    only has no levels.
+
     Equivalent contexts share the id of the first of them, and the table
     is built over those first members and their subterms only.  This
     loses nothing: if X and X' are equivalent then g+X and g+X' have the
@@ -178,7 +194,8 @@ class ContextTable:
 
     __slots__ = (
         "order", "first_of", "first_bits", "games", "scores", "left",
-        "right", "full", "digits", "values", "always", "deep", "masks",
+        "right", "full", "digits", "values", "always", "deep", "levels",
+        "masks",
     )
 
     def __init__(self, contexts: Iterable[GameTerm]) -> None:
@@ -233,6 +250,16 @@ class ContextTable:
             deep_r = tuple(j for j in xr if not number[j])
             if deep_l or deep_r:
                 self.deep.append((i, deep_l, deep_r))
+        by_height: list[list[int]] = [
+            [] for _ in range(max((t.depth for t in self.games), default=0))
+        ]
+        for i, t in enumerate(self.games):
+            if t.depth:
+                by_height[t.depth - 1].append(i)
+        self.levels: list[tuple[Optional[_Side], Optional[_Side]]] = [
+            (_level_side(ids, self.left), _level_side(ids, self.right))
+            for ids in by_height
+        ]
 
     def _append(self, t: GameTerm, index: dict[GameTerm, int]) -> None:
         self.games.append(t)
@@ -259,6 +286,32 @@ class ContextTable:
             if v + s >= 0:
                 ge |= bits
         return gt, ge
+
+
+def _level_side(
+    level: list[int], options: list[tuple[int, ...]]
+) -> Optional[_Side]:
+    """One side of a level: the ids with an option on that side, a getter
+    of those columns, and for each option index k a getter of each such
+    column's k-th option, or of its first where it has fewer than k + 1;
+    max and min are idempotent, so repeating an option changes nothing.
+    """
+    ids = tuple(i for i in level if options[i])
+    if not ids:
+        return None
+    columns = [options[i] for i in ids]
+    return ids, _getter(ids), tuple(
+        _getter([o[k] if k < len(o) else o[0] for o in columns])
+        for k in range(max(map(len, columns)))
+    )
+
+
+def _getter(ids) -> Callable:
+    """``itemgetter(*ids)``, which also gives a tuple for a single id."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    (i,) = ids
+    return lambda row: (row[i],)
 
 
 class _Universe:
@@ -388,10 +441,22 @@ def _extend_rows(
 
     ``rows[u] = (SL, SR)`` holds the final scores of u + x_i for every
     column i of the table.  Column i of u reads the rows of u's options
-    at column i and u's own row at the ids of x_i's options, which are
-    earlier columns: the same max/min as SumEvaluator, on the same exact
-    values.  Subterms missing from ``rows`` are filled in an explicit
-    post-order, so the depth of g costs no Python recursion.
+    at column i and u's own row at the ids of x_i's options: the same
+    max/min as SumEvaluator, on the same exact values.  Subterms missing
+    from ``rows`` are filled in an explicit post-order, so the depth of g
+    costs no Python recursion.
+
+    A row starts as u's best option row on each side, or, where u has no
+    option there, the ends a + score(x_i); that is already the value of
+    every column whose context has no option on that side, the numbers
+    among them.  The other columns are filled one height at a time from
+    ``table.levels``, each level by one max (or min) over whole gathered
+    columns, with no Python code run per column.  Level order suffices:
+    every option of a column has a lower height, so the entries of u's
+    own row that the column reads are final before its level is reached.
+    Each max takes x_i's options in order and u's own best last, and max
+    and min return the first of equal terms, so a tie keeps the value
+    read at x_i's first best option, whether an int or a Fraction.
 
     A number a has no options, so the moves of a + X are exactly the
     moves of X with a carried along, and every position ends with a's
@@ -407,32 +472,35 @@ def _extend_rows(
                 [x.sr + a for x in table.games],
             )
             continue
-        # Where x_i has no option for a side, the column is decided by u's
-        # own options there, or ends at once with score a + score(x_i).
         ends = [a + v for v in table.scores]
-        has_l, has_r = bool(u.left), bool(u.right)
-        ul = _best([rows[o][1] for o in u.left], max) if has_l else ends
-        ur = _best([rows[o][0] for o in u.right], min) if has_r else ends
-        sl: list[Score] = []
-        sr: list[Score] = []
-        sl_at, sr_at = sl.__getitem__, sr.__getitem__
-        for xl, xr, bl, br in zip(table.left, table.right, ul, ur):
-            if xl:
-                v = max(map(sr_at, xl))
-                if has_l and bl > v:
-                    v = bl
-                sl.append(v)
-            else:
-                sl.append(bl)
-            if xr:
-                v = min(map(sl_at, xr))
-                if has_r and br < v:
-                    v = br
-                sr.append(v)
-            else:
-                sr.append(br)
+        ul = _best([rows[o][1] for o in u.left], max) if u.left else ends
+        ur = _best([rows[o][0] for o in u.right], min) if u.right else ends
+        sl, sr = list(ul), list(ur)
+        for left, right in table.levels:
+            if left:
+                _fold(sl, sr, ul if u.left else None, left, max)
+            if right:
+                _fold(sr, sl, ur if u.right else None, right, min)
         rows[u] = (sl, sr)
     return rows[g]
+
+
+def _fold(
+    row: list[Score],
+    other: list[Score],
+    best: Optional[list[Score]],
+    side: _Side,
+    pick: Callable,
+) -> None:
+    """Write one level side's columns of row: the max (or min) of the
+    other row at each column's options and, if u has options on this
+    side, of u's best option row at the column."""
+    ids, at, options = side
+    terms = [get(other) for get in options]
+    if best is not None:
+        terms.append(at(best))
+    values = map(pick, *terms) if len(terms) > 1 else terms[0]
+    deque(map(row.__setitem__, ids, values), 0)
 
 
 def _best(columns: list[list[Score]], pick) -> list[Score]:

@@ -509,6 +509,156 @@ class TestContextKernel:
 
 
 # ---------------------------------------------------------------------------
+# the level schedule of score rows
+# ---------------------------------------------------------------------------
+
+def _height(t):
+    return 1 + max(map(_height, t.left + t.right)) if t.left or t.right else 0
+
+
+def _level_tables():
+    """Tables with several levels, padded gathers, one column per level,
+    and no level at all."""
+    return {
+        "2x2": ContextTable(universe(UniverseSpec(2, 2, (0,)))),
+        "3x1": ContextTable(universe(UniverseSpec(3, 1, (0,)))),
+        "chain1": ContextTable([parse("{.|0|1}")]),
+        "chain2": ContextTable([parse("{{.|0|1}|0|.}")]),
+        "numbers": ContextTable(
+            [leaf(Fraction(1, 2)), leaf(0), leaf(-1), leaf(Fraction(-3, 2))]),
+    }
+
+
+def _schedule_levels(table):
+    """Per side, the level each id sits at in the schedule; an id listed
+    twice for one side fails."""
+    seen = ({}, {})
+    for level, sides in enumerate(table.levels, 1):
+        for s, side in enumerate(sides):
+            for i in (side[0] if side else ()):
+                assert i not in seen[s]
+                seen[s][i] = level
+    return seen
+
+
+def _column_rows(u, table, rows=None):
+    """The score rows of u by one max (or min) per column, over x_i's
+    options and then u's, in order: the reference for ``_extend_rows``,
+    value and type."""
+    rows = {} if rows is None else rows
+    if u not in rows:
+        for o in u.left + u.right:
+            _column_rows(o, table, rows)
+        sl, sr = [], []
+        for i, x in enumerate(table.games):
+            terms = [sr[j] for j in table.left[i]]
+            terms += [rows[o][1][i] for o in u.left]
+            sl.append(max(terms) if terms else u.score + x.score)
+            terms = [sl[j] for j in table.right[i]]
+            terms += [rows[o][0][i] for o in u.right]
+            sr.append(min(terms) if terms else u.score + x.score)
+        rows[u] = (sl, sr)
+    return rows[u]
+
+
+class TestLevelSchedule:
+    @pytest.mark.parametrize("name, ids, levels", [
+        ("2x2", 121, 2), ("3x1", 676, 3), ("chain1", 2, 1), ("chain2", 3, 2),
+        ("numbers", 4, 0),
+    ])
+    def test_rows_equal_pairwise_evaluator(self, name, ids, levels):
+        table = _level_tables()[name]
+        assert (len(table), len(table.levels)) == (ids, levels)
+        if name == "2x2":  # columns with 1 and 2 options share a gather
+            for side, options in zip(table.levels[1], (table.left,
+                                                       table.right)):
+                assert {len(options[i]) for i in side[0]} == {1, 2}
+        if name.startswith("chain"):  # the one-index getter
+            assert all(len(side[0]) == 1
+                       for sides in table.levels for side in sides if side)
+        ev = SumEvaluator()
+        for g in _deep_games()[:4] + _fraction_games()[::20]:
+            sl, sr = _extend_rows(g, table, {})
+            got = [(a, b, type(a), type(b)) for a, b in zip(sl, sr)]
+            want = [
+                (a, b, type(a), type(b))
+                for a, b in (ev.final_scores(g, x) for x in table.games)
+            ]
+            assert got == want, render(g)
+
+    @pytest.mark.parametrize("name", sorted(_level_tables()))
+    def test_schedule_invariants(self, name):
+        table = _level_tables()[name]
+        seen = _schedule_levels(table)
+        n = len(table)
+        for s, options in enumerate((table.left, table.right)):
+            assert seen[s].keys() == {i for i in range(n) if options[i]}
+        level = [seen[0].get(i) or seen[1].get(i) or 0 for i in range(n)]
+        assert level == [_height(x) for x in table.games]
+        for i in range(n):
+            assert all(
+                level[j] < level[i] for j in table.left[i] + table.right[i])
+        # the getters read the listed columns and options, as tuples
+        positions = list(range(n))
+        for sides in table.levels:
+            for side, options in zip(sides, (table.left, table.right)):
+                if side is None:
+                    continue
+                ids, at, gathers = side
+                assert at(positions) == ids
+                assert len(gathers) == max(len(options[i]) for i in ids)
+                for k, get in enumerate(gathers):
+                    assert get(positions) == tuple(
+                        options[i][k] if k < len(options[i])
+                        else options[i][0] for i in ids)
+
+    def test_ties_keep_the_per_column_value(self):
+        # Scores mixing ints and halves make ties between an int and an
+        # equal Fraction; the kernel keeps the value that one max or min
+        # per column keeps, x_i's options before u's own best.
+        rng = random.Random(2121)
+        scores = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]
+
+        def draw(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return leaf(rng.choice(scores))
+            return game(
+                [draw(depth - 1) for _ in range(rng.randint(0, 2))],
+                rng.choice(scores),
+                [draw(depth - 1) for _ in range(rng.randint(0, 2))],
+            )
+
+        table = ContextTable([draw(2) for _ in range(40)])
+        assert len(table.levels) == 2
+        mixed = 0
+        for _ in range(30):
+            g = draw(2)
+            sl, sr = _extend_rows(g, table, {})
+            want = _column_rows(g, table)
+            assert [(a, b, type(a), type(b)) for a, b in zip(sl, sr)] == [
+                (a, b, type(a), type(b)) for a, b in zip(*want)
+            ], render(g)
+            mixed += sum(type(v) is Fraction and v.denominator == 1
+                         for v in sl + sr)
+        assert mixed > 0
+
+    def test_default_table_has_one_level(self):
+        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        assert len(table.levels) == 1
+        seen = _schedule_levels(table)
+        assert set(seen[0].values()) == set(seen[1].values()) == {1}
+
+    def test_depth_two_level_two_is_the_deep_pass(self):
+        table = _universe_entry(DEPTH_TWO).context_table()
+        assert len(table.levels) == 2
+        level_two = set()
+        for side in table.levels[1]:
+            level_two.update(side[0])
+        assert len(level_two) == 7125
+        assert level_two == {i for i, _, _ in table.deep}
+
+
+# ---------------------------------------------------------------------------
 # verdicts from class sign masks against verdicts rebuilt from the scans
 # ---------------------------------------------------------------------------
 

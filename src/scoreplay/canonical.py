@@ -159,24 +159,24 @@ def reversible_options(
     return out
 
 
-_SIDE_ORDER = {Side.LEFT: 0, Side.RIGHT: 1}
-
-
 def _candidates(
     g: GameTerm,
     spec: UniverseSpec,
     mode: Mode,
     ev: SumEvaluator,
-) -> list[tuple[tuple, ReductionStep]]:
-    cands: list[tuple[tuple, ReductionStep]] = []
-    for side, worse, better, v in dominated_options(g, spec, mode, ev):
-        step = ReductionStep(ReductionKind.DOMINATION, side, worse, better, v)
-        cands.append(((0, _SIDE_ORDER[side], better.okey, worse.okey), step))
-    for side, option, response, v in reversible_options(g, spec, mode, ev):
-        step = ReductionStep(ReductionKind.REVERSIBILITY, side, option, response, v)
-        cands.append(((1, _SIDE_ORDER[side], option.okey, response.okey), step))
-    cands.sort(key=lambda c: c[0])
-    return cands
+) -> list[ReductionStep]:
+    """Every root reduction of g: dominations before reversibilities, each
+    Left before Right.  Options are stored in term order, so dominations
+    come in term order of the dominating option, then the dominated one,
+    and reversibilities in term order of the option, one response each.
+    """
+    return [
+        ReductionStep(ReductionKind.DOMINATION, side, worse, better, v)
+        for side, worse, better, v in dominated_options(g, spec, mode, ev)
+    ] + [
+        ReductionStep(ReductionKind.REVERSIBILITY, side, option, response, v)
+        for side, option, response, v in reversible_options(g, spec, mode, ev)
+    ]
 
 
 def _apply(g: GameTerm, step: ReductionStep) -> GameTerm:
@@ -205,7 +205,7 @@ def reduce_step(
     cands = _candidates(g, spec, mode, ev)
     if not cands:
         return None
-    _, step = cands[rng.randrange(len(cands))] if rng else cands[0]
+    step = cands[rng.randrange(len(cands))] if rng else cands[0]
     return _apply(g, step), step
 
 

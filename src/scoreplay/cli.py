@@ -29,7 +29,7 @@ from .order import (
     less_equal,
     _too_large,
 )
-from .rulesets import TfError, tf_parse, tf_to_game
+from .rulesets import TfError, _tf_terms, tf_parse, tf_to_game
 from .score import base_sets, final_scores, outcome
 from .sums import SumEvaluator, add
 from .verify import SUITES, run_suite
@@ -60,7 +60,6 @@ class CliError(Exception):
 class RunConfig:
     spec: UniverseSpec
     mode: Mode
-    seed: int
     fmt: str
 
     @property
@@ -135,7 +134,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
             f"context universe {spec.describe()} has more than "
             f"{UNIVERSE_SIZE_LIMIT} games; pick smaller bounds"
         )
-    return RunConfig(spec, Mode(args.mode), args.seed, args.format)
+    return RunConfig(spec, Mode(args.mode), args.format)
 
 
 class _Output:
@@ -164,13 +163,17 @@ def _parse_expr(text: str) -> GameTerm:
         raise CliError(f"cannot parse {text!r}: {exc}") from None
 
 
-def _render(g: GameTerm) -> str:
+def _printable(g: GameTerm) -> GameTerm:
     if g.node_count > MAX_PRINT_NODES:
         raise CliError(
             f"term has {g.node_count} nodes; refusing to print more "
             f"than {MAX_PRINT_NODES}"
         )
-    return render(g)
+    return g
+
+
+def _render(g: GameTerm) -> str:
+    return render(_printable(g))
 
 
 def _emit_eval(g: GameTerm, out: _Output, term: Optional[str] = None) -> None:
@@ -269,6 +272,11 @@ def cmd_tf(args, config: RunConfig, out: _Output) -> int:
         pos = tf_parse(args.position)
     except TfError as exc:
         raise CliError(str(exc)) from None
+    # A strip's term holds every term built on the way to it, so the first
+    # of those over the print limit refuses the strip before the rest of
+    # it is compiled; the count named is a lower bound.
+    for t in _tf_terms(pos):
+        _printable(t)
     g = tf_to_game(pos)
     term = _render(g)
     out.text(f"position {pos.text()}")

@@ -160,20 +160,19 @@ class ContextTable:
     columns whose score of that kind is v, and ``always[kind]`` holds the
     columns a threshold of that kind leaves set whatever the shift: for
     _END_R the contexts that have a Right option, for _NUM_R those with
-    no number among their Right options (a min over no terms).  ``deep``
-    lists, in id order, each column whose context has an option that is
-    not a number, with the ids of those options on each side.  ``masks``
+    no number among their Right options (a min over no terms).  ``masks``
     caches the sign masks of the table's own classes by class id, so it
     never holds more than len(table) entries.
 
-    ``levels`` is the schedule ``_extend_rows`` fills rows by.  An id's
-    height is its game's depth: 0 for a number and otherwise 1 + the
-    highest height of its options, so every option of a column has a
-    lower height.
+    ``levels`` is the column schedule that ``_extend_rows`` and
+    ``_class_masks`` both fill by.  An id's height is its game's depth:
+    0 for a number and otherwise 1 + the highest height of its options,
+    so every option of a column has a lower height.
     ``levels[h - 1]`` is a (Left, Right) pair for height h: each side
     holds the ids of that height with an option on that side (see
     ``_level_side``), or is None where none has one.  A table of numbers
-    only has no levels.
+    only has no levels, and the columns of height 1 have only numbers
+    for options.
 
     Equivalent contexts share the id of the first of them, and the table
     is built over those first members and their subterms only.  This
@@ -194,8 +193,7 @@ class ContextTable:
 
     __slots__ = (
         "order", "first_of", "first_bits", "games", "scores", "left",
-        "right", "full", "digits", "values", "always", "deep", "levels",
-        "masks",
+        "right", "full", "digits", "values", "always", "levels", "masks",
     )
 
     def __init__(self, contexts: Iterable[GameTerm]) -> None:
@@ -226,7 +224,6 @@ class ContextTable:
         self.digits = f"0{n}b"
         self.values: tuple[dict[Score, int], ...] = ({}, {}, {}, {})
         self.always = [0, 0, 0, 0]
-        self.deep: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.masks: dict[int, _Masks] = {}
         scores = self.scores
         number = [not l and not r for l, r in zip(self.left, self.right)]
@@ -246,10 +243,6 @@ class ContextTable:
                 self._threshold(_NUM_R, min(num_r), bit)
             else:
                 self.always[_NUM_R] |= bit
-            deep_l = tuple(j for j in xl if not number[j])
-            deep_r = tuple(j for j in xr if not number[j])
-            if deep_l or deep_r:
-                self.deep.append((i, deep_l, deep_r))
         by_height: list[list[int]] = [
             [] for _ in range(max((t.depth for t in self.games), default=0))
         ]
@@ -456,22 +449,11 @@ def _extend_rows(
     own row that the column reads are final before its level is reached.
     Each max takes x_i's options in order and u's own best last, and max
     and min return the first of equal terms, so a tie keeps the value
-    read at x_i's first best option, whether an int or a Fraction.
-
-    A number a has no options, so the moves of a + X are exactly the
-    moves of X with a carried along, and every position ends with a's
-    score added; by induction on X, a + X plays as X does with each
-    final score shifted by a.  Its row is the final scores of the
-    table's games, played alone, plus a.
+    read at x_i's first best option, whether an int or a Fraction, as
+    SumEvaluator keeps it.
     """
     for u in _postorder(g, rows):
         a = u.score
-        if not u.left and not u.right:
-            rows[u] = (
-                [x.sl + a for x in table.games],
-                [x.sr + a for x in table.games],
-            )
-            continue
         ends = [a + v for v in table.scores]
         ul = _best([rows[o][1] for o in u.left], max) if u.left else ends
         ur = _best([rows[o][0] for o in u.right], min) if u.right else ends
@@ -686,8 +668,10 @@ def _class_masks(
       min > 0 iff every term is, and likewise for >= 0.  So Left's moves
       in u give the OR of the SR masks of the classes of u^L, and
       Right's moves the AND of the SL masks of the classes of u^R.
-    - A number b has no options, so u + b plays as u with every final
-      score shifted by b (see ``_extend_rows``) and SR(u + b) = u.sr + b.
+    - A number b has no options, so the moves of u + b are exactly the
+      moves of u with b carried along, and every position ends with b's
+      score added; by induction on u, u + b plays as u does with every
+      final score shifted by b, and SR(u + b) = u.sr + b.
       Left's moves to the numbers among the options of X therefore pass
       the tests exactly on the columns where that best number exceeds
       (or reaches) -u.sr: one threshold mask of the table, and
@@ -698,11 +682,14 @@ def _class_masks(
 
     That leaves only Left's or Right's moves to options of X that are
     not numbers, whose columns read u's own bits at those options' ids.
-    Those ids are lower, as the table is children-first; one pass in id
-    order fills them in, on a byte per column, where the ASCII digits
-    '0' and '1' combine under | and & as the bits they stand for.
-    A universe of depth 1 has no such column, so its masks need no
-    per-column work at all.
+    Those columns have height 2 or more, and every option of a column
+    has a lower height; one pass over ``table.levels[1:]`` fills them
+    in, on a byte per column, where the ASCII digits '0' and '1' combine
+    under | and & as the bits they stand for.  The pass reads the number
+    options of those columns too, which changes nothing: the bit of a
+    number column j already holds SR(u + x_j) (or SL), the value the
+    threshold ORs (or ANDs) in.  A universe of depth 1 has one level, so
+    its masks need no per-column work at all.
     """
     known = table.masks
     masks = known.get(k) or scope.get(k)
@@ -736,19 +723,28 @@ def _class_masks(
         gt, ge = table.signs(_NUM_R, u.sl)
         r_gt &= gt
         r_ge &= ge
-        if table.deep:
+        if len(table.levels) > 1:
             rows = [
                 bytearray(format(m, table.digits)[::-1], "ascii")
                 for m in (l_gt, l_ge, r_gt, r_ge)
             ]
             lgt, lge, rgt, rge = rows
-            for i, xl, xr in table.deep:
-                for j in xl:
-                    lgt[i] |= rgt[j]
-                    lge[i] |= rge[j]
-                for j in xr:
-                    rgt[i] &= lgt[j]
-                    rge[i] &= lge[j]
+            xl, xr = table.left, table.right
+            for left, right in table.levels[1:]:
+                if left:
+                    for i in left[0]:
+                        gt, ge = lgt[i], lge[i]
+                        for j in xl[i]:
+                            gt |= rgt[j]
+                            ge |= rge[j]
+                        lgt[i], lge[i] = gt, ge
+                if right:
+                    for i in right[0]:
+                        gt, ge = rgt[i], rge[i]
+                        for j in xr[i]:
+                            gt &= lgt[j]
+                            ge &= lge[j]
+                        rgt[i], rge[i] = gt, ge
             l_gt, l_ge, r_gt, r_ge = [int(row[::-1], 2) for row in rows]
         masks = (l_gt, l_ge, r_gt, r_ge)
         (known if ku in table_classes else scope)[ku] = masks

@@ -10,6 +10,7 @@ single running Left-minus-Right score.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import GameTerm, Score, Side, game
 from .notation import MAX_NESTING
@@ -88,15 +89,30 @@ def tf_moves(p: TfPosition, player: Side) -> list[tuple[TfPosition, Score]]:
 _tf_cache: dict[tuple[tuple[str, ...], Score], GameTerm] = {}
 
 
+def _tf_terms(p: TfPosition) -> Iterator[GameTerm]:
+    """Compile p, yielding each term it builds after those of its options.
+
+    A position compiled before yields nothing.  Recursion is as deep as
+    the longest play, which ``tf_parse`` bounds.
+    """
+    key = (p.cells, p.score)
+    if key in _tf_cache:
+        return
+    left, right = (
+        [q for q, _ in tf_moves(p, side)] for side in (Side.LEFT, Side.RIGHT)
+    )
+    for q in left + right:
+        yield from _tf_terms(q)
+    term = _tf_cache[key] = game(
+        [_tf_cache[q.cells, q.score] for q in left],
+        p.score,
+        [_tf_cache[q.cells, q.score] for q in right],
+    )
+    yield term
+
+
 def tf_to_game(p: TfPosition) -> GameTerm:
     """Expand a position into the full game term, scores accumulated."""
-    key = (p.cells, p.score)
-    term = _tf_cache.get(key)
-    if term is None:
-        term = game(
-            (tf_to_game(q) for q, _ in tf_moves(p, Side.LEFT)),
-            p.score,
-            (tf_to_game(q) for q, _ in tf_moves(p, Side.RIGHT)),
-        )
-        _tf_cache[key] = term
-    return term
+    for _ in _tf_terms(p):
+        pass
+    return _tf_cache[p.cells, p.score]

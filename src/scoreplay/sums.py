@@ -141,7 +141,9 @@ class SumEvaluator:
     order of ``_pair_postorder``, the walk ``add`` shares, so sum terms
     are never materialized and depth costs no Python recursion.  The
     memo holds one entry per ordered pair evaluated, keyed on term
-    identity; results equal those of evaluating add(g, h).
+    identity; results equal those of evaluating add(g, h).  Moves in h
+    come before moves in g, as in a score row (``order._extend_rows``),
+    so a tie between an int and an equal Fraction keeps the same one.
 
     An evaluator is also the memory scope of order searches, and what
     they keep here lives as long as it does.  Each context table (see
@@ -168,15 +170,15 @@ class SumEvaluator:
         for a, b in _pair_postorder(g, h, memo):
             if a.left or b.left:
                 sl = max(
-                    [memo[o, b][1] for o in a.left]
-                    + [memo[a, o][1] for o in b.left]
+                    [memo[a, o][1] for o in b.left]
+                    + [memo[o, b][1] for o in a.left]
                 )
             else:
                 sl = a.score + b.score
             if a.right or b.right:
                 sr = min(
-                    [memo[o, b][0] for o in a.right]
-                    + [memo[a, o][0] for o in b.right]
+                    [memo[a, o][0] for o in b.right]
+                    + [memo[o, b][0] for o in a.right]
                 )
             else:
                 sr = a.score + b.score

@@ -515,25 +515,13 @@ def verify_cong_probe(spec: UniverseSpec) -> SuiteResult:
     classes: dict[int, list[GameTerm]] = {}
     for g in games:
         classes.setdefault(_esig(g), []).append(g)
-    canonical_cache: dict[GameTerm, bool] = {}
-
-    def canon(g: GameTerm) -> bool:
-        v = canonical_cache.get(g)
-        if v is None:
-            v = is_canonical(g, spec, Mode.SOUND, ev)
-            canonical_cache[g] = v
-        return v
-
     pairs = bad = 0
     for members in classes.values():
         if len(members) < 2:
             continue
-        for i, g in enumerate(members):
-            if not canon(g):
-                continue
-            for h in members[i + 1:]:
-                if not canon(h):
-                    continue
+        canon = [g for g in members if is_canonical(g, spec, Mode.SOUND, ev)]
+        for i, g in enumerate(canon):
+            for h in canon[i + 1:]:
                 pairs += 1
                 if not equivalent(g, h):
                     bad += 1

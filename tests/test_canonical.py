@@ -1,3 +1,5 @@
+import pytest
+
 from scoreplay import (
     Mode,
     Proved,
@@ -18,7 +20,12 @@ from scoreplay import (
     reversible_options,
     tf_parse,
     tf_to_game,
+    universe,
 )
+from scoreplay.canonical import _candidates
+from scoreplay.core import _postorder
+from scoreplay.sums import SumEvaluator
+from scoreplay.verify import sample_confluence_games
 
 from conftest import DEFAULT, TINY
 
@@ -175,3 +182,31 @@ class TestIsCanonical:
         assert not is_canonical(
             TBF, UniverseSpec(1, 1, (-1, 0, 1)), Mode.CONJECTURAL
         )
+
+
+def _sort_key(step):
+    """The order reduce_step once sorted its candidates by: kind, side,
+    then the term order of the dominating (or reversible) option and of
+    the other; kept here as the reference for ``_candidates``."""
+    side = 0 if step.side is Side.LEFT else 1
+    if step.kind is ReductionKind.DOMINATION:
+        return (0, side, step.witness.okey, step.removed.okey)
+    return (1, side, step.removed.okey, step.witness.okey)
+
+
+class TestCandidateOrder:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_generation_order_is_the_sort_order(self, mode):
+        games = (
+            sample_confluence_games(3000, seed=7)
+            + sample_confluence_games(1000, seed=11, scores=(-1, 0, 1))
+            + list(universe(DEFAULT))
+        )
+        subterms = dict.fromkeys(t for g in games for t in _postorder(g, ()))
+        ev = SumEvaluator()
+        several = 0
+        for t in subterms:
+            keys = [_sort_key(s) for s in _candidates(t, DEFAULT, mode, ev)]
+            assert keys == sorted(set(keys)), render(t)
+            several += len(keys) > 1
+        assert several > 1000

@@ -170,6 +170,26 @@ class TestTf:
         assert "position TBF" in out
         assert "term={{.|0|{-1|-1|.}}|0|{{.|1|1}|0|.}}" in out
 
+    def test_repeated_in_process_calls(self):
+        # the second call finds the strip compiled and builds nothing
+        first = run_cli("tf", "TBF")
+        assert first[0] == 0 and "position TBF" in first[1]
+        assert run_cli("tf", "TBF") == first
+
+    def test_oversized_strip_is_refused_before_it_is_compiled(self):
+        # Compiled whole, this strip takes seconds and prints as about
+        # 10**25 nodes; the first term over the limit refuses it.
+        from scoreplay.cli import MAX_PRINT_NODES
+
+        done = subprocess.run(
+            [sys.executable, "-m", "scoreplay", "tf", "TTTTTTTBBFFFFFFF"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "nodes; refusing to print more than" in done.stderr
+        assert str(MAX_PRINT_NODES) in done.stderr
+
     def test_largest_printed_strip_is_under_the_print_limit(self):
         from scoreplay import tf_parse, tf_to_game
         from scoreplay.cli import MAX_PRINT_NODES

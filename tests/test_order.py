@@ -529,6 +529,33 @@ def _level_tables():
     }
 
 
+def _mixed_table():
+    """A seeded draw of games with int and half scores, and the table of
+    its first 40 games."""
+    rng = random.Random(2121)
+    scores = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]
+
+    def draw(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return leaf(rng.choice(scores))
+        return game(
+            [draw(depth - 1) for _ in range(rng.randint(0, 2))],
+            rng.choice(scores),
+            [draw(depth - 1) for _ in range(rng.randint(0, 2))],
+        )
+
+    return draw, ContextTable([draw(2) for _ in range(40)])
+
+
+def _deep_columns(table):
+    """The ids of the columns with an option that is not a number."""
+    return {
+        i for i in range(len(table))
+        if any(table.left[j] or table.right[j]
+               for j in table.left[i] + table.right[i])
+    }
+
+
 def _schedule_levels(table):
     """Per side, the level each id sits at in the schedule; an id listed
     twice for one side fails."""
@@ -616,19 +643,7 @@ class TestLevelSchedule:
         # Scores mixing ints and halves make ties between an int and an
         # equal Fraction; the kernel keeps the value that one max or min
         # per column keeps, x_i's options before u's own best.
-        rng = random.Random(2121)
-        scores = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]
-
-        def draw(depth):
-            if depth == 0 or rng.random() < 0.3:
-                return leaf(rng.choice(scores))
-            return game(
-                [draw(depth - 1) for _ in range(rng.randint(0, 2))],
-                rng.choice(scores),
-                [draw(depth - 1) for _ in range(rng.randint(0, 2))],
-            )
-
-        table = ContextTable([draw(2) for _ in range(40)])
+        draw, table = _mixed_table()
         assert len(table.levels) == 2
         mixed = 0
         for _ in range(30):
@@ -641,6 +656,20 @@ class TestLevelSchedule:
             mixed += sum(type(v) is Fraction and v.denominator == 1
                          for v in sl + sr)
         assert mixed > 0
+
+    def test_evaluator_keeps_the_row_value(self):
+        # SumEvaluator also reads the context's moves before u's, so on
+        # the same ties it returns the very value of the row, int or
+        # Fraction.
+        draw, table = _mixed_table()
+        ev = SumEvaluator()
+        for _ in range(200):
+            g = draw(2)
+            sl, sr = _extend_rows(g, table, {})
+            assert [(a, b, type(a), type(b)) for a, b in zip(sl, sr)] == [
+                (a, b, type(a), type(b))
+                for a, b in (ev.final_scores(g, x) for x in table.games)
+            ], render(g)
 
     def test_default_table_has_one_level(self):
         table = _universe_entry(DEFAULT_UNIVERSE).context_table()
@@ -655,7 +684,7 @@ class TestLevelSchedule:
         for side in table.levels[1]:
             level_two.update(side[0])
         assert len(level_two) == 7125
-        assert level_two == {i for i, _, _ in table.deep}
+        assert level_two == _deep_columns(table)
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +893,8 @@ class TestMaskRecurrence:
             _class_masks(table, g, _esig(g), {})
         assert len(table.masks) == classes
         # depth 1: every option of every context is a number
-        assert table.deep == []
+        assert len(table.levels) == 1
+        assert _deep_columns(table) == set()
         assert _mismatched_classes(table) == []
 
     def test_seeded_depth_two_classes_and_their_options(self):
@@ -872,8 +902,11 @@ class TestMaskRecurrence:
         assert len(table) == len(table.first_of) == 7205
         for g in random.Random(1515).sample(_class_games(table), 60):
             _class_masks(table, g, _esig(g), {})
-        # 80 contexts have numbers for options, or none
-        assert len(table.deep) == 7205 - 80
+        # 80 contexts have numbers for options, or none; the deep pass
+        # reads the other columns, level 2
+        level_two = {i for side in table.levels[1] for i in side[0]}
+        assert level_two == _deep_columns(table)
+        assert len(level_two) == 7205 - 80
         assert len(table.masks) > 100
         assert _mismatched_classes(table) == []
 

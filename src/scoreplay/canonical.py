@@ -13,11 +13,11 @@ tool can fully decide, so reduction runs in one of two modes:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .core import GameTerm, NodePath, Side, _postorder, game
+from .core import GameTerm, NodePath, Side, game
 from .order import (
     Refuted,
     UniverseSpec,
@@ -52,7 +52,7 @@ class ReductionKind(Enum):
     REVERSIBILITY = "reversibility"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionStep:
     """One reduction: what was removed or bypassed, and on whose authority.
 
@@ -209,6 +209,14 @@ def reduce_step(
     return _apply(g, step), step
 
 
+#: SOUND forms without an ``order_seed``, of the terms with no step below
+#: their root: a step-free term maps to itself, any other to its form
+#: followed by its root steps (path ()).  SOUND verdicts read only the
+#: terms (``_sound_ge``), so an entry holds for every spec and evaluator.
+#: Cleared by ``core.clear_caches``.
+_sound_forms: dict[GameTerm, object] = {}
+
+
 def canonicalize(
     g: GameTerm,
     spec: UniverseSpec,
@@ -226,32 +234,70 @@ def canonicalize(
     Tree positions are walked from an explicit stack, Left options then
     Right, each finished before its parent reduces, so depth costs no
     Python recursion.
+
+    Without a seed a subterm's form and steps depend on the subterm
+    alone.  A subterm with no step below its root is reduced once and
+    remembered, SOUND ones in ``_sound_forms`` across calls, CONJECTURAL
+    ones (whose verdicts depend on ``spec``) for this call, so a shared
+    step-free subterm costs one lookup and the walk never enters a
+    remembered one.  A subterm with steps below is walked at each of its
+    positions, which the trace lists one by one anyway.  A seeded call
+    remembers nothing, as its rng draws follow the tree positions.
     """
     ev = evaluator or SumEvaluator()
     rng = random.Random(order_seed) if order_seed is not None else None
+    memo = _sound_forms if mode is Mode.SOUND and rng is None else {}
     trace = ReductionTrace()
-    # (position's term, its path, the canonical forms of its options so far)
-    stack: list[tuple[GameTerm, NodePath, list[GameTerm]]] = [(g, (), [])]
+    steps = trace.steps
+    # (position's term, its path, the canonical forms of its options so
+    # far, its memo entry)
+    stack: list[tuple[GameTerm, NodePath, list[GameTerm], object]] = [
+        (g, (), [], memo.get(g))
+    ]
     while True:
-        t, path, done = stack[-1]
+        t, path, done, entry = stack[-1]
         n, nl = len(done), len(t.left)
-        if n < nl:
-            stack.append((t.left[n], path + ((Side.LEFT, n),), []))
-            continue
-        if n < nl + len(t.right):
-            stack.append((t.right[n - nl], path + ((Side.RIGHT, n - nl),), []))
+        if entry is None and n < nl + len(t.right):
+            o = t.left[n] if n < nl else t.right[n - nl]
+            sub = memo.get(o)
+            if sub is o:
+                done.append(o)
+                continue
+            at = (Side.LEFT, n) if n < nl else (Side.RIGHT, n - nl)
+            stack.append((o, path + (at,), [], sub))
             continue
         stack.pop()
-        node = game(done[:nl], t.score, done[nl:])
-        while True:
-            hit = reduce_step(node, spec, mode, rng, ev)
-            if hit is None:
-                break
-            node, step = hit
-            trace.steps.append(replace(step, path=path))
+        if entry is t:
+            node = t
+        elif entry is not None:
+            node = entry[0]
+            steps += [_at(s, path) for s in entry[1:]]
+        else:
+            # interning makes this t exactly when no option changed
+            node = game(done[:nl], t.score, done[nl:])
+            unchanged = node is t
+            root = []
+            while True:
+                hit = reduce_step(node, spec, mode, rng, ev)
+                if hit is None:
+                    break
+                node, step = hit
+                root.append(step)
+            steps += [_at(s, path) for s in root]
+            if unchanged and rng is None:
+                memo[t] = (node, *root) if root else t
         if not stack:
             return node, trace
         stack[-1][2].append(node)
+
+
+def _at(step: ReductionStep, path: NodePath) -> ReductionStep:
+    """A root step (path ()) re-addressed to the position at path."""
+    if not path:
+        return step
+    return ReductionStep(
+        step.kind, step.side, step.removed, step.witness, step.justification, path
+    )
 
 
 def is_canonical(
@@ -262,10 +308,7 @@ def is_canonical(
 ) -> bool:
     """True iff no option anywhere in g is dominated or reversible.
 
-    Each distinct subterm is checked once, from ``_postorder``.
+    That is, iff ``canonicalize`` applies no step: a position with a
+    candidate would reduce.  SOUND answers read ``_sound_forms``.
     """
-    ev = evaluator or SumEvaluator()
-    return not any(
-        dominated_options(t, spec, mode, ev) or reversible_options(t, spec, mode, ev)
-        for t in _postorder(g, ())
-    )
+    return not canonicalize(g, spec, mode, evaluator=evaluator)[1].steps

@@ -224,11 +224,17 @@ def cmd_cmp(args, config: RunConfig, out: _Output) -> int:
     # classes are cached with it, those of any other g or h are kept here
     # for all three relations.
     ev = SumEvaluator()
-    term, other = render(g), render(h)
-    for rel, fn in ((">=", greater_equal), ("<=", less_equal), ("=", equal)):
-        v = fn(g, h, config.spec, ev)
-        out.text(f"{rel} {v}")
-        out.record(relation=rel, term=term, other=other, **_verdict_fields(v))
+    verdicts = [
+        (rel, fn(g, h, config.spec, ev))
+        for rel, fn in ((">=", greater_equal), ("<=", less_equal), ("=", equal))
+    ]
+    if config.fmt == "text":
+        for rel, v in verdicts:
+            out.text(f"{rel} {v}")
+    else:
+        term, other = render(g), render(h)
+        for rel, v in verdicts:
+            out.record(relation=rel, term=term, other=other, **_verdict_fields(v))
     return EXIT_OK
 
 
@@ -237,13 +243,15 @@ def cmd_canon(args, config: RunConfig, out: _Output) -> int:
     reduced, trace = canonicalize(
         g, config.spec, config.mode, order_seed=args.seed or None
     )
-    out.text(f"canonical {_render(reduced)}")
-    for i, step in enumerate(trace.steps, start=1):
-        out.text(
-            f"step {i} {step.kind.value} side={step.side.value} "
-            f"removed={_render(step.removed)} witness={_render(step.witness)} "
-            f"justification={step.justification}"
-        )
+    if config.fmt == "text":
+        out.text(f"canonical {_render(reduced)}")
+        for i, step in enumerate(trace.steps, start=1):
+            out.text(
+                f"step {i} {step.kind.value} side={step.side.value} "
+                f"removed={_render(step.removed)} witness={_render(step.witness)} "
+                f"justification={step.justification}"
+            )
+        return EXIT_OK
     out.record(
         term=_render(g), canonical=_render(reduced),
         steps=[

@@ -378,8 +378,9 @@ def clear_caches() -> None:
     Caches are observationally transparent; this exists for tests and for
     long sessions that want to release memory.
     """
-    from . import sums as _sums
+    from . import canonical as _canonical, sums as _sums
 
     _negate_cache.clear()
     _esig_cache.clear()
     _sums.clear_sum_caches()
+    _canonical._sound_forms.clear()

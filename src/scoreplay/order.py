@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -396,17 +397,23 @@ class Unrefuted:
 Verdict = Union[Proved, Refuted, Unrefuted]
 
 
+#: One verdict per rule, shared by every SOUND step ``canonical`` keeps.
+_IDENTICAL = Proved(SoundRule.IDENTICAL)
+_EQUIVALENT = Proved(SoundRule.EQUIVALENT)
+_NUMERIC_ORDER = Proved(SoundRule.NUMERIC_ORDER)
+
+
 def _sound_ge(g: GameTerm, h: GameTerm) -> Optional[Proved]:
     # The only comparison facts the theory supplies constructively:
     # identical trees, equivalence (same tree, equal termination scores,
     # which preserves final scores in every context), and translation
     # order between bare numbers.  g <= h is proved exactly when h >= g.
     if g is h:
-        return Proved(SoundRule.IDENTICAL)
+        return _IDENTICAL
     if equivalent(g, h):
-        return Proved(SoundRule.EQUIVALENT)
+        return _EQUIVALENT
     if is_numeric(g) and is_numeric(h) and g.score >= h.score:
-        return Proved(SoundRule.NUMERIC_ORDER)
+        return _NUMERIC_ORDER
     return None
 
 
@@ -447,14 +454,17 @@ def _extend_rows(
     columns, with no Python code run per column.  Level order suffices:
     every option of a column has a lower height, so the entries of u's
     own row that the column reads are final before its level is reached.
-    Each max takes x_i's options in order and u's own best last, and max
-    and min return the first of equal terms, so a tie keeps the value
-    read at x_i's first best option, whether an int or a Fraction, as
-    SumEvaluator keeps it.
+    Each max takes x_i's options in order and u's own best last, as
+    SumEvaluator does.  The ends are normalized as by ``as_score``, so a
+    whole score is an int, as in the terms ``add`` builds.
     """
     for u in _postorder(g, rows):
         a = u.score
-        ends = [a + v for v in table.scores]
+        # int + Fraction is never whole: only a Fraction a needs as_score
+        if type(a) is Fraction:
+            ends = [as_score(a + v) for v in table.scores]
+        else:
+            ends = [a + v for v in table.scores]
         ul = _best([rows[o][1] for o in u.left], max) if u.left else ends
         ur = _best([rows[o][0] for o in u.right], min) if u.right else ends
         sl, sr = list(ul), list(ur)

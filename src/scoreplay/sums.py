@@ -12,6 +12,7 @@ from typing import Container, Iterator
 from .core import (
     GameTerm,
     Score,
+    as_score,
     game,
     identical,
     leaf,
@@ -141,9 +142,9 @@ class SumEvaluator:
     order of ``_pair_postorder``, the walk ``add`` shares, so sum terms
     are never materialized and depth costs no Python recursion.  The
     memo holds one entry per ordered pair evaluated, keyed on term
-    identity; results equal those of evaluating add(g, h).  Moves in h
-    come before moves in g, as in a score row (``order._extend_rows``),
-    so a tie between an int and an equal Fraction keeps the same one.
+    identity; results equal those of evaluating add(g, h), a whole score
+    coming back as an int.  Moves in h come before moves in g, as in a
+    score row (``order._extend_rows``).
 
     An evaluator is also the memory scope of order searches, and what
     they keep here lives as long as it does.  Each context table (see
@@ -174,14 +175,14 @@ class SumEvaluator:
                     + [memo[o, b][1] for o in a.left]
                 )
             else:
-                sl = a.score + b.score
+                sl = as_score(a.score + b.score)
             if a.right or b.right:
                 sr = min(
                     [memo[a, o][0] for o in b.right]
                     + [memo[o, b][0] for o in a.right]
                 )
             else:
-                sr = a.score + b.score
+                sr = as_score(a.score + b.score)
             memo[a, b] = (sl, sr)
         return memo[g, h]
 

@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from scoreplay import (
@@ -5,12 +8,16 @@ from scoreplay import (
     Proved,
     ReductionKind,
     Refuted,
+    ReductionTrace,
     Side,
     SoundRule,
     UniverseSpec,
+    add,
     canonicalize,
+    clear_caches,
     dominated_options,
     equivalent,
+    game,
     identical,
     is_canonical,
     leaf,
@@ -22,6 +29,7 @@ from scoreplay import (
     tf_to_game,
     universe,
 )
+from scoreplay import canonical
 from scoreplay.canonical import _candidates
 from scoreplay.core import _postorder
 from scoreplay.sums import SumEvaluator
@@ -210,3 +218,119 @@ class TestCandidateOrder:
             assert keys == sorted(set(keys)), render(t)
             several += len(keys) > 1
         assert several > 1000
+
+
+def _tree_canonicalize(g, spec, mode=Mode.SOUND, order_seed=None, evaluator=None):
+    """The walker that canonicalize memoized: every tree position reduced
+    afresh, Left options then Right, each before its parent; kept here as
+    the reference for forms and traces."""
+    ev = evaluator or SumEvaluator()
+    rng = random.Random(order_seed) if order_seed is not None else None
+    trace = ReductionTrace()
+    # (position's term, its path, the canonical forms of its options so far)
+    stack = [(g, (), [])]
+    while True:
+        t, path, done = stack[-1]
+        n, nl = len(done), len(t.left)
+        if n < nl:
+            stack.append((t.left[n], path + ((Side.LEFT, n),), []))
+            continue
+        if n < nl + len(t.right):
+            stack.append((t.right[n - nl], path + ((Side.RIGHT, n - nl),), []))
+            continue
+        stack.pop()
+        node = game(done[:nl], t.score, done[nl:])
+        while True:
+            hit = reduce_step(node, spec, mode, rng, ev)
+            if hit is None:
+                break
+            node, step = hit
+            trace.steps.append(replace(step, path=path))
+        if not stack:
+            return node, trace
+        stack[-1][2].append(node)
+
+
+def _fields(trace):
+    return [
+        (s.kind, s.side, s.removed, s.witness, s.justification, s.path)
+        for s in trace.steps
+    ]
+
+
+def _shared_chain(levels):
+    """{c|0|c} on c, levels deep from 0: one distinct subterm per level,
+    2**(levels + 1) - 1 tree positions, and no SOUND reduction anywhere
+    (CONJECTURAL mode reverses every level)."""
+    c = leaf(0)
+    for _ in range(levels):
+        c = game([c], 0, [c])
+    return c
+
+
+class TestMemoizedWalk:
+    @pytest.mark.parametrize("seed", [None, 4])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_forms_and_traces_match_the_tree_walker(self, mode, seed):
+        singles = sample_confluence_games(300, seed=31)
+        rng = random.Random(31)
+        sums = [add(rng.choice(singles[:40]), rng.choice(singles[:40]))
+                for _ in range(25)]
+        spec = DEFAULT if mode is Mode.SOUND else UniverseSpec(1, 1, (-1, 0, 1))
+        ev = SumEvaluator()
+        steps = below = 0
+        for g in singles + sums:
+            want, ref = _tree_canonicalize(g, spec, mode, seed, ev)
+            # twice: a SOUND call also reads what earlier calls kept
+            for _ in range(2):
+                got, trace = canonicalize(g, spec, mode, seed, ev)
+                assert got is want, render(g)
+                assert _fields(trace) == _fields(ref), render(g)
+            steps += len(ref.steps)
+            below += any(s.path for s in ref.steps)
+        assert steps > 300 and below > 50
+
+    def test_shared_subterms_are_reduced_once(self, monkeypatch):
+        calls = []
+        plain = canonical.reduce_step
+
+        def counted(g, *args):
+            calls.append(g)
+            return plain(g, *args)
+
+        monkeypatch.setattr(canonical, "reduce_step", counted)
+        chain = _shared_chain(200)
+        g = game([chain, leaf(1), leaf(2)], 0, [chain])
+        clear_caches()
+        form, trace = canonicalize(g, TINY)
+        assert form is game([chain, leaf(2)], 0, [chain])
+        assert len(trace.steps) == 1 and trace.steps[0].path == ()
+        # one call per distinct subterm (the chain's 201, two leaves and
+        # g), and one more at g for the step applied there
+        assert len(calls) == 201 + 2 + 1 + 1
+        calls.clear()
+        assert is_canonical(chain, TINY)
+        assert calls == []  # SOUND forms outlive the call
+
+    def test_clear_caches_empties_sound_forms(self):
+        g = parse(TWO_FORMS)
+        form, trace = canonicalize(g, DEFAULT)
+        assert canonical._sound_forms
+        clear_caches()
+        assert canonical._sound_forms == {}
+        again, retrace = canonicalize(g, DEFAULT)
+        assert again is form and _fields(retrace) == _fields(trace)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_is_canonical_means_no_subterm_has_a_candidate(self, mode):
+        games = sample_confluence_games(300, seed=37) + list(universe(DEFAULT))
+        ev = SumEvaluator()
+        spec = UniverseSpec(1, 1, (-1, 0, 1))
+        verdicts = []
+        for g in games:
+            want = not any(
+                _candidates(t, spec, mode, ev) for t in _postorder(g, ())
+            )
+            assert is_canonical(g, spec, mode, ev) is want, render(g)
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)

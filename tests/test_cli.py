@@ -465,3 +465,46 @@ def test_cmp_output_on_guard_pairs_is_unchanged(fmt):
         assert code == 0, (g, h)
         text += out
     assert hashlib.sha256(text.encode()).hexdigest() == CMP_GUARD_SHA256[fmt], text
+
+
+# Fixed canon terms: dominations at the root and below it, options
+# shared between positions with and without steps below them, Fractions,
+# a sum and TBF; each run by default, seeded, and conjecturally at
+# DEFAULT and at a universe too weak to refute TBF's reversals.  sha256
+# of the concatenated output of all of them, pinned so that changes to
+# how forms are reached leave what canon prints byte-identical.
+CANON_GUARD_TERMS = [
+    "{{3|0|4},{3|1|4}|0|.}", "{{2,1|0|.}|0|.}", "{2,1|0|1,2}",
+    "{{.|0|{-1|-1|.}}|0|{{.|1|1}|0|.}}", "{1/2,1|0|-1/2,-1}",
+    "{{2,1|0|.},{{2,1|0|.}|1|.}|0|{{2,1|0|.}|0|.}}",
+    "{{1|0|-1}|0|{1|0|-1},2,1}", "{{1|0|-1},{{1|0|-1}|0|2,1}|0|.}",
+    "{.|0|{-2|0|0,1,-2}}", "{.|2|{0,1|2|0,-1,2}}", "{2,{0,-1,2|1|0}|-1|.}",
+    "{1,-2,{0,2|-2|2}|0|.}", "{{1,-1,2|0|-1,-2}|1|.}",
+    "{.|2|-2,{.|1|2},{.|2|2}}", "{.|1|{0,1,2|-2|1,-1,-2}}",
+    "{-1,2|1|-2,{1,-2|-1|-1,2}}", "{{2|0|1,2},{2|2|0,1}|1|2}",
+    "{-2,{0|1|-1},{2,-2|2|-1}|2|.}",
+    "{{1,2|0|.},{2|0|1,3,{.|3|1,3}},{1|-1|0,2,{.|2|0,2}}|-2|"
+    "{2,3|1|.},{0,1|-1|.},{{.|2|0,2},{.|3|1,3}|1|{2,3|1|.},{0,1|-1|.}}}",
+]
+CANON_GUARD_FLAGS = [
+    (), ("--seed", "3"), ("--mode", "conjectural"),
+    ("--mode", "conjectural", "--depth", "1", "--width", "1",
+     "--scores=-1,0,1"),
+    ("--mode", "conjectural", "--depth", "1", "--width", "1",
+     "--scores=-1,0,1", "--seed", "3"),
+]
+CANON_GUARD_SHA256 = {
+    "text": "ef277f724ed07f53b7c57c1cdba3335d0d6a57aaf1b3d30a9f8bd8cbff1d44f0",
+    "jsonl": "7212cdd12fe43113bbc00c94fe2d50da3fea1f33b2e2f75d1dfe8ace300e8223",
+}
+
+
+@pytest.mark.parametrize("fmt", list(CANON_GUARD_SHA256))
+def test_canon_output_on_guard_terms_is_unchanged(fmt):
+    text = ""
+    for flags in CANON_GUARD_FLAGS:
+        for g in CANON_GUARD_TERMS:
+            code, out = run_cli("canon", g, "--format", fmt, *flags)
+            assert code == 0, (g, flags)
+            text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == CANON_GUARD_SHA256[fmt], text

@@ -33,7 +33,7 @@ from scoreplay import (
     universe_size,
     zero,
 )
-from scoreplay.core import _esig
+from scoreplay.core import _esig, _postorder, as_score
 from scoreplay.order import (
     DOWN_SETS,
     UP_SETS,
@@ -271,7 +271,7 @@ class TestPartialOrderProbes:
 
     def test_equivalence_implies_bounded_equality(self, default_universe):
         # every equivalent pair has equal outcomes in every context
-        from scoreplay.core import _esig
+        from scoreplay.core import _esig, _postorder, as_score
 
         classes = {}
         for g in default_universe:
@@ -570,20 +570,21 @@ def _schedule_levels(table):
 
 def _column_rows(u, table, rows=None):
     """The score rows of u by one max (or min) per column, over x_i's
-    options and then u's, in order: the reference for ``_extend_rows``,
-    value and type."""
+    options and then u's, in order, from ends normalized by ``as_score``:
+    the reference for ``_extend_rows``, value and type."""
     rows = {} if rows is None else rows
     if u not in rows:
         for o in u.left + u.right:
             _column_rows(o, table, rows)
         sl, sr = [], []
         for i, x in enumerate(table.games):
+            end = as_score(u.score + x.score)
             terms = [sr[j] for j in table.left[i]]
             terms += [rows[o][1][i] for o in u.left]
-            sl.append(max(terms) if terms else u.score + x.score)
+            sl.append(max(terms) if terms else end)
             terms = [sl[j] for j in table.right[i]]
             terms += [rows[o][0][i] for o in u.right]
-            sr.append(min(terms) if terms else u.score + x.score)
+            sr.append(min(terms) if terms else end)
         rows[u] = (sl, sr)
     return rows[u]
 
@@ -640,12 +641,13 @@ class TestLevelSchedule:
                         else options[i][0] for i in ids)
 
     def test_ties_keep_the_per_column_value(self):
-        # Scores mixing ints and halves make ties between an int and an
-        # equal Fraction; the kernel keeps the value that one max or min
-        # per column keeps, x_i's options before u's own best.
+        # Scores mixing ints and halves make ends where half + half is
+        # whole; the kernel returns those as ints, so a tie is between
+        # values of one type, and keeps the value that one max or min per
+        # column keeps, x_i's options before u's own best.
         draw, table = _mixed_table()
         assert len(table.levels) == 2
-        mixed = 0
+        whole = mixed = 0
         for _ in range(30):
             g = draw(2)
             sl, sr = _extend_rows(g, table, {})
@@ -653,9 +655,14 @@ class TestLevelSchedule:
             assert [(a, b, type(a), type(b)) for a, b in zip(sl, sr)] == [
                 (a, b, type(a), type(b)) for a, b in zip(*want)
             ], render(g)
+            whole += sum(
+                type(u.score) is type(x.score) is Fraction
+                and (u.score + x.score).denominator == 1
+                for u in _postorder(g, ()) for x in table.games
+            )
             mixed += sum(type(v) is Fraction and v.denominator == 1
                          for v in sl + sr)
-        assert mixed > 0
+        assert whole > 0 and mixed == 0
 
     def test_evaluator_keeps_the_row_value(self):
         # SumEvaluator also reads the context's moves before u's, so on

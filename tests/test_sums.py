@@ -23,6 +23,7 @@ from scoreplay import (
     zero,
 )
 from scoreplay import sums
+from scoreplay.order import ContextTable, _extend_rows
 from scoreplay.verify import sample_confluence_games
 
 import oracles
@@ -222,6 +223,15 @@ class TestSumEvaluator:
             )
             assert ev.final_scores(g, h) == ev.final_scores(h, g) == played
             assert final_scores_of_sum(g, h) == played
+
+    def test_whole_sums_of_halves_are_ints(self):
+        # as add's terms hold them: a whole score has one representation
+        half = leaf(Fraction(1, 2))
+        assert type(add(half, half).score) is int
+        assert [type(v) for v in final_scores_of_sum(half, half)] == [int, int]
+        sl, sr = _extend_rows(half, ContextTable([half, leaf(0)]), {})
+        assert (sl, sr) == ([1, Fraction(1, 2)], [1, Fraction(1, 2)])
+        assert [type(v) for v in sl + sr] == [int, Fraction, int, Fraction]
 
     def test_outcome_shortcut(self):
         g, h = parse("{1|0|.}"), parse("{.|0|-1}")

@@ -209,10 +209,10 @@ def reduce_step(
     return _apply(g, step), step
 
 
-#: SOUND forms without an ``order_seed``, of the terms with no step below
-#: their root: a step-free term maps to itself, any other to its form
-#: followed by its root steps (path ()).  SOUND verdicts read only the
-#: terms (``_sound_ge``), so an entry holds for every spec and evaluator.
+#: SOUND forms of the terms with no step below their root: a step-free
+#: term maps to itself, any other to its unseeded form followed by its
+#: root steps (path ()).  SOUND verdicts read only the terms
+#: (``_sound_ge``), so an entry holds for every spec and evaluator.
 #: Cleared by ``core.clear_caches``.
 _sound_forms: dict[GameTerm, object] = {}
 
@@ -235,18 +235,18 @@ def canonicalize(
     Right, each finished before its parent reduces, so depth costs no
     Python recursion.
 
-    Without a seed a subterm's form and steps depend on the subterm
-    alone.  A subterm with no step below its root is reduced once and
+    A subterm with no step below its root is reduced once and
     remembered, SOUND ones in ``_sound_forms`` across calls, CONJECTURAL
-    ones (whose verdicts depend on ``spec``) for this call, so a shared
-    step-free subterm costs one lookup and the walk never enters a
-    remembered one.  A subterm with steps below is walked at each of its
-    positions, which the trace lists one by one anyway.  A seeded call
-    remembers nothing, as its rng draws follow the tree positions.
+    ones (whose verdicts depend on ``spec``) for this call, and the walk
+    never enters a remembered one.  A seeded call draws only where a
+    position has a candidate, so it redraws a remembered root's steps,
+    skips a step-free subterm, and remembers only those.  A subterm with
+    steps below is walked at each of its positions, which the trace lists
+    one by one anyway.
     """
     ev = evaluator or SumEvaluator()
     rng = random.Random(order_seed) if order_seed is not None else None
-    memo = _sound_forms if mode is Mode.SOUND and rng is None else {}
+    memo = _sound_forms if mode is Mode.SOUND else {}
     trace = ReductionTrace()
     steps = trace.steps
     # (position's term, its path, the canonical forms of its options so
@@ -269,12 +269,12 @@ def canonicalize(
         stack.pop()
         if entry is t:
             node = t
-        elif entry is not None:
+        elif entry is not None and rng is None:
             node = entry[0]
             steps += [_at(s, path) for s in entry[1:]]
         else:
-            # interning makes this t exactly when no option changed
-            node = game(done[:nl], t.score, done[nl:])
+            # t if remembered (no step below) or, by interning, unchanged
+            node = t if entry else game(done[:nl], t.score, done[nl:])
             unchanged = node is t
             root = []
             while True:
@@ -284,7 +284,7 @@ def canonicalize(
                 node, step = hit
                 root.append(step)
             steps += [_at(s, path) for s in root]
-            if unchanged and rng is None:
+            if unchanged and (rng is None or not root):
                 memo[t] = (node, *root) if root else t
         if not stack:
             return node, trace

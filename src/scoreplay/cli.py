@@ -270,8 +270,10 @@ def cmd_canon(args, config: RunConfig, out: _Output) -> int:
 
 def cmd_enum(args, config: RunConfig, out: _Output) -> int:
     for g in enumerate_universe(config.spec):
-        out.text(render(g))
-        out.record(term=render(g), structured=to_structured(g))
+        if config.fmt == "text":
+            out.text(render(g))
+        else:
+            out.record(term=render(g), structured=to_structured(g))
     return EXIT_OK
 
 

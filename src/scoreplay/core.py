@@ -258,26 +258,37 @@ def is_termination_vertex(g: GameTerm, path: NodePath = ()) -> bool:
 
 
 def _postorder(g: GameTerm, done: Container[GameTerm]) -> list[GameTerm]:
-    """Subterms of g not in ``done``, each once, children before parents.
+    """Subterms of g not in ``done``, each once, children before parents."""
+    return _walk(g, done)[0]
 
-    Walks an explicit stack, so depth costs no Python recursion.
+
+def _walk(g: GameTerm, done: Container[GameTerm]) -> tuple[list, dict]:
+    """``_postorder``'s order, and how many (parent, option) edges reach each.
+
+    Options go Left then Right from a stack of option iterators, so depth
+    costs no Python recursion; a leaf joins the order when first met.  A
+    term in ``done`` is skipped, with whatever is reachable only through it.
     """
+    if g in done:
+        return [], {}
+    uses = {g: 0}
     order: list[GameTerm] = []
-    seen: set[GameTerm] = set()
-    stack = [g]
+    stack = [(g, iter(g.left + g.right))]
     while stack:
-        t = stack[-1]
-        if t in seen or t in done:
+        t, children = stack[-1]
+        for o in children:
+            if o in uses:
+                uses[o] += 1
+            elif o not in done:
+                uses[o] = 1
+                if o.left or o.right:
+                    stack.append((o, iter(o.left + o.right)))
+                    break
+                order.append(o)
+        else:
             stack.pop()
-            continue
-        pending = [o for o in t.left + t.right if o not in seen and o not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        seen.add(t)
-        order.append(t)
-    return order
+            order.append(t)
+    return order, uses
 
 
 #: Class ids by (termination score or None, sorted left and right ids).
@@ -328,32 +339,14 @@ def max_abs_score(g: GameTerm) -> Score:
 def render(g: GameTerm, full: bool = False) -> str:
     """Bracket notation; compact writes a leaf as its bare score.
 
-    Each distinct subterm is rendered once, children before parents, from
-    an explicit stack, so a shared subterm costs one string however often
-    it is printed and depth costs no Python recursion.  A subterm's string
-    is dropped once its last parent has used it.
+    Each distinct subterm is rendered once, in ``_postorder``'s order,
+    so a shared subterm costs one string however often it is printed and
+    depth costs no Python recursion.  A subterm's string is dropped once
+    its last parent has used it, counted by the same walk.
     """
     if not g.left and not g.right:
         return f"{{.|{g.score}|.}}" if full else str(g.score)
-    # Post-order over distinct subterms, counting the uses of each.
-    # Leaves have no children, so they go to the order when first met.
-    uses = {g: 1}
-    order = []
-    stack = [(g, iter(g.left + g.right))]
-    while stack:
-        t, children = stack[-1]
-        for o in children:
-            if o in uses:
-                uses[o] += 1
-                continue
-            uses[o] = 1
-            if o.left or o.right:
-                stack.append((o, iter(o.left + o.right)))
-                break
-            order.append(o)
-        else:
-            stack.pop()
-            order.append(t)
+    order, uses = _walk(g, ())
     text: dict[GameTerm, str] = {}
     for t in order:
         left, right = t.left, t.right

@@ -312,6 +312,72 @@ class TestMemoizedWalk:
         assert is_canonical(chain, TINY)
         assert calls == []  # SOUND forms outlive the call
 
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_seeded_calls_match_the_tree_walker_cold_and_warm(self, seed):
+        singles = sample_confluence_games(300, seed=31)
+        rng = random.Random(31)
+        sums = [add(rng.choice(singles[:40]), rng.choice(singles[:40]))
+                for _ in range(25)]
+        games = singles + sums
+        ev = SumEvaluator()
+        want = [_tree_canonicalize(g, DEFAULT, Mode.SOUND, seed, ev) for g in games]
+
+        def check(g, form, ref):
+            got, trace = canonicalize(g, DEFAULT, order_seed=seed, evaluator=ev)
+            assert got is form, render(g)
+            assert _fields(trace) == _fields(ref), render(g)
+
+        for g, (form, ref) in zip(games, want):
+            clear_caches()
+            check(g, form, ref)
+        unseeded = [canonicalize(g, DEFAULT, evaluator=ev)[1] for g in games]
+        # the warm memo replays root steps that a seeded call must redraw
+        assert sum(type(v) is tuple for v in canonical._sound_forms.values()) > 300
+        assert sum(_fields(a) != _fields(b) for a, (_, b) in zip(unseeded, want)) > 50
+        for g, (form, ref) in zip(games, want):
+            check(g, form, ref)
+
+    def test_seeded_shared_subterms_are_reduced_once(self, monkeypatch):
+        calls = []
+        plain = canonical.reduce_step
+
+        def counted(g, *args):
+            calls.append(g)
+            return plain(g, *args)
+
+        monkeypatch.setattr(canonical, "reduce_step", counted)
+        chain = _shared_chain(200)
+        g = game([chain, leaf(1), leaf(2)], 0, [chain])
+        form = game([chain, leaf(2)], 0, [chain])
+        clear_caches()
+        # Booleans and counts only: a failing assert would print these
+        # terms, whose trees have 2**201 positions.
+        same = canonicalize(g, TINY, order_seed=1)[0] is form
+        # as unseeded: one call per distinct subterm, and one more at g
+        # for the step applied there
+        assert same and len(calls) == 201 + 2 + 1 + 1
+        # g's options are remembered now, and after an unseeded call g's
+        # root step too, which a seeded call redraws: only g is reduced
+        for unseeded in (False, True):
+            if unseeded:
+                canonicalize(g, TINY)
+            calls.clear()
+            same = canonicalize(g, TINY, order_seed=1)[0] is form
+            at_root = len(calls) == 2 and calls[0] is g and calls[1] is form
+            assert same and at_root
+
+    def test_seeded_calls_remember_step_free_subterms_only(self):
+        g = parse("{{2,1|0|.},1,2|0|{{2,1|0|.}|0|.}}")
+        clear_caches()
+        form, trace = canonicalize(g, DEFAULT, order_seed=1)
+        assert {bool(s.path) for s in trace.steps} == {True, False}
+        assert canonical._sound_forms
+        assert all(v is k for k, v in canonical._sound_forms.items())
+        # reduced at its root with nothing below, kept by an unseeded call
+        assert parse("{2,1|0|.}") not in canonical._sound_forms
+        canonicalize(g, DEFAULT)
+        assert type(canonical._sound_forms[parse("{2,1|0|.}")]) is tuple
+
     def test_clear_caches_empties_sound_forms(self):
         g = parse(TWO_FORMS)
         form, trace = canonicalize(g, DEFAULT)

@@ -508,3 +508,27 @@ def test_canon_output_on_guard_terms_is_unchanged(fmt):
             assert code == 0, (g, flags)
             text += out
     assert hashlib.sha256(text.encode()).hexdigest() == CANON_GUARD_SHA256[fmt], text
+
+
+# Fixed enum universes: the CLI default, depth 2 width 1, halves, and
+# numbers only.  sha256 of the concatenated output of all of them, pinned
+# so that changes to how enum builds its output leave what it prints
+# byte-identical.
+ENUM_GUARD_FLAGS = [
+    (), ("--depth", "2", "--width", "1", "--scores", "0,1"),
+    ("--scores=-1,0,1/2",), ("--depth", "0", "--scores=-2,3/2"),
+]
+ENUM_GUARD_SHA256 = {
+    "text": "82b45d10e6ddeaefb10da9d92e33807c3a1576a7918403c5be4f0732b3af9f62",
+    "jsonl": "253b1eb75fdf90e29f12f1fe2a0adb6e09f916ee726fca4e9b2a89c584817beb",
+}
+
+
+@pytest.mark.parametrize("fmt", list(ENUM_GUARD_SHA256))
+def test_enum_output_on_guard_universes_is_unchanged(fmt):
+    text = ""
+    for flags in ENUM_GUARD_FLAGS:
+        code, out = run_cli("enum", "--format", fmt, *flags)
+        assert code == 0, flags
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUM_GUARD_SHA256[fmt], text

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from scoreplay import (
     term_order_key,
     vertices,
 )
+
+from scoreplay.core import _postorder, _walk
 
 from conftest import terms
 
@@ -381,3 +384,93 @@ class TestDeepChains:
 
         assert is_canonical(_left_chain(self.N), DEFAULT_UNIVERSE)
         assert is_canonical(_right_chain(self.N), DEFAULT_UNIVERSE)
+
+
+def _reference_postorder(g, done):
+    # The walk with a pending list and a seen set that _postorder replaced.
+    order = []
+    seen = set()
+    stack = [g]
+    while stack:
+        t = stack[-1]
+        if t in seen or t in done:
+            stack.pop()
+            continue
+        pending = [o for o in t.left + t.right if o not in seen and o not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        seen.add(t)
+        order.append(t)
+    return order
+
+
+def _walk_inputs():
+    from scoreplay import add
+    from scoreplay.verify import sample_confluence_games
+
+    c = leaf(1)
+    for _ in range(20):
+        c = game([c], 0, [])
+    return sample_confluence_games(200, seed=23) + [add(c, c), _left_chain(1000)]
+
+
+def _reachable(g, done):
+    # Every term reachable from g without entering a term in done.
+    seen = set()
+    stack = [] if g in done else [g]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(o for o in t.left + t.right if o not in done)
+    return seen
+
+
+class TestWalk:
+    @staticmethod
+    def _check(g, done):
+        # Booleans only: a failing assert would print these terms, and a
+        # sum of chains has about 3.3e10 tree positions.
+        order, uses = _walk(g, done)
+        shared = _postorder(g, done) == order
+        assert shared and len(set(order)) == len(order)
+        same = set(order) == set(_reference_postorder(g, done))
+        reachable = set(order) == _reachable(g, done)
+        assert same and reachable
+        position = {t: i for i, t in enumerate(order)}
+        first = all(
+            o in done or position[o] < position[t]
+            for t in order for o in t.left + t.right
+        )
+        assert first
+        edges = Counter(o for t in order for o in t.left + t.right if o not in done)
+        counted = uses == {t: edges[t] for t in order}
+        assert counted
+        last = not order or order[-1] is g and uses[g] == 0
+        assert last
+
+    def test_every_subterm_once_after_its_options(self):
+        for g in _walk_inputs():
+            self._check(g, ())
+
+    def test_done_terms_and_what_only_they_reach_are_skipped(self):
+        from scoreplay import add
+
+        inputs = _walk_inputs()
+        for g in inputs:
+            self._check(g, {g})
+            for o in g.left + g.right:
+                self._check(g, {o})
+        # The 500 terms above the middle of the chain, and nothing below.
+        chain = inputs[-1]
+        middle = subterm_at(chain, ((Side.LEFT, 0),) * 500)
+        self._check(chain, {middle})
+        assert len(_postorder(chain, {middle})) == 500
+        # x stays reachable past d, which also reaches it.
+        x = parse("{1|0|-1}")
+        d = game([x], 2, [])
+        g = game([d, x], 0, [d])
+        assert _postorder(g, {d}) == [leaf(1), leaf(-1), x, g]
+        self._check(add(g, g), {d})

@@ -57,14 +57,25 @@ class CliError(Exception):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class _Run:
+    """One command's universe, mode, format and output stream.  Conjectural
+    text lines get a ``[conjectural] `` prefix, records a true field."""
+
     spec: UniverseSpec
     mode: Mode
     fmt: str
+    out: object  # None prints to sys.stdout
 
-    @property
-    def conjectural(self) -> bool:
-        return self.mode is Mode.CONJECTURAL
+    def text(self, line: str) -> None:
+        if self.fmt == "text":
+            marker = "[conjectural] " if self.mode is Mode.CONJECTURAL else ""
+            print(marker + line, file=self.out)
+
+    def record(self, **fields) -> None:
+        if self.fmt == "jsonl":
+            if self.mode is Mode.CONJECTURAL:
+                fields["conjectural"] = True
+            print(json.dumps(fields, separators=(",", ":")), file=self.out)
 
 
 def _flag_or_env(value, name: str, fallback):
@@ -110,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _config(args: argparse.Namespace, out=None) -> _Run:
     d = DEFAULT_UNIVERSE
     try:
         depth = int(_flag_or_env(args.depth, "SCOREPLAY_DEPTH", d.max_depth))
@@ -134,26 +145,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
             f"context universe {spec.describe()} has more than "
             f"{UNIVERSE_SIZE_LIMIT} games; pick smaller bounds"
         )
-    return RunConfig(spec, Mode(args.mode), args.format)
-
-
-class _Output:
-    """Line-oriented emitter; prefixes conjectural-mode results in text."""
-
-    def __init__(self, config: RunConfig, out) -> None:
-        self.config = config
-        self.out = out
-
-    def text(self, line: str) -> None:
-        if self.config.fmt == "text":
-            marker = "[conjectural] " if self.config.conjectural else ""
-            print(marker + line, file=self.out)
-
-    def record(self, **fields) -> None:
-        if self.config.fmt == "jsonl":
-            if self.config.conjectural:
-                fields["conjectural"] = True
-            print(json.dumps(fields, separators=(",", ":")), file=self.out)
+    return _Run(spec, Mode(args.mode), args.format, out)
 
 
 def _parse_expr(text: str) -> GameTerm:
@@ -176,35 +168,32 @@ def _render(g: GameTerm) -> str:
     return render(_printable(g))
 
 
-def _emit_eval(g: GameTerm, out: _Output, term: Optional[str] = None) -> None:
-    term = _render(g) if term is None else term
+def _emit_eval(g: GameTerm, run: _Run, term: Optional[str] = None) -> None:
     sl, sr = final_scores(g)
     lset, rset = base_sets(g)
-    out.text(
-        f"term={term} sl={sl} sr={sr} outcome={outcome(g).value} "
-        f"left_set={lset.value} right_set={rset.value}"
-    )
-    out.record(
-        term=term, sl=str(sl), sr=str(sr), outcome=outcome(g).value,
-        left_set=lset.value, right_set=rset.value,
-    )
+    fields = {
+        "term": _render(g) if term is None else term,
+        "sl": str(sl), "sr": str(sr), "outcome": outcome(g).value,
+        "left_set": lset.value, "right_set": rset.value,
+    }
+    run.text(" ".join(f"{k}={v}" for k, v in fields.items()))
+    run.record(**fields)
 
 
-def cmd_eval(args, config: RunConfig, out: _Output) -> int:
-    _emit_eval(_parse_expr(args.expr), out)
+def cmd_eval(args, run: _Run) -> int:
+    _emit_eval(_parse_expr(args.expr), run)
     return EXIT_OK
 
 
-def cmd_sum(args, config: RunConfig, out: _Output) -> int:
-    s = add(_parse_expr(args.expr1), _parse_expr(args.expr2))
-    _emit_eval(s, out)
+def cmd_sum(args, run: _Run) -> int:
+    _emit_eval(add(_parse_expr(args.expr1), _parse_expr(args.expr2)), run)
     return EXIT_OK
 
 
-def cmd_neg(args, config: RunConfig, out: _Output) -> int:
+def cmd_neg(args, run: _Run) -> int:
     term = _render(negate(_parse_expr(args.expr)))
-    out.text(f"term={term}")
-    out.record(term=term)
+    run.text(f"term={term}")
+    run.record(term=term)
     return EXIT_OK
 
 
@@ -217,7 +206,7 @@ def _verdict_fields(v) -> dict:
     return fields
 
 
-def cmd_cmp(args, config: RunConfig, out: _Output) -> int:
+def cmd_cmp(args, run: _Run) -> int:
     g = _parse_expr(args.expr1)
     h = _parse_expr(args.expr2)
     # Every verdict is read off class masks: those of the universe's
@@ -225,34 +214,34 @@ def cmd_cmp(args, config: RunConfig, out: _Output) -> int:
     # for all three relations.
     ev = SumEvaluator()
     verdicts = [
-        (rel, fn(g, h, config.spec, ev))
+        (rel, fn(g, h, run.spec, ev))
         for rel, fn in ((">=", greater_equal), ("<=", less_equal), ("=", equal))
     ]
-    if config.fmt == "text":
+    if run.fmt == "text":
         for rel, v in verdicts:
-            out.text(f"{rel} {v}")
+            run.text(f"{rel} {v}")
     else:
         term, other = render(g), render(h)
         for rel, v in verdicts:
-            out.record(relation=rel, term=term, other=other, **_verdict_fields(v))
+            run.record(relation=rel, term=term, other=other, **_verdict_fields(v))
     return EXIT_OK
 
 
-def cmd_canon(args, config: RunConfig, out: _Output) -> int:
+def cmd_canon(args, run: _Run) -> int:
     g = _parse_expr(args.expr)
     reduced, trace = canonicalize(
-        g, config.spec, config.mode, order_seed=args.seed or None
+        g, run.spec, run.mode, order_seed=args.seed or None
     )
-    if config.fmt == "text":
-        out.text(f"canonical {_render(reduced)}")
+    if run.fmt == "text":
+        run.text(f"canonical {_render(reduced)}")
         for i, step in enumerate(trace.steps, start=1):
-            out.text(
+            run.text(
                 f"step {i} {step.kind.value} side={step.side.value} "
                 f"removed={_render(step.removed)} witness={_render(step.witness)} "
                 f"justification={step.justification}"
             )
         return EXIT_OK
-    out.record(
+    run.record(
         term=_render(g), canonical=_render(reduced),
         steps=[
             {
@@ -268,16 +257,16 @@ def cmd_canon(args, config: RunConfig, out: _Output) -> int:
     return EXIT_OK
 
 
-def cmd_enum(args, config: RunConfig, out: _Output) -> int:
-    for g in enumerate_universe(config.spec):
-        if config.fmt == "text":
-            out.text(render(g))
+def cmd_enum(args, run: _Run) -> int:
+    for g in enumerate_universe(run.spec):
+        if run.fmt == "text":
+            run.text(render(g))
         else:
-            out.record(term=render(g), structured=to_structured(g))
+            run.record(term=render(g), structured=to_structured(g))
     return EXIT_OK
 
 
-def cmd_tf(args, config: RunConfig, out: _Output) -> int:
+def cmd_tf(args, run: _Run) -> int:
     try:
         pos = tf_parse(args.position)
     except TfError as exc:
@@ -289,13 +278,13 @@ def cmd_tf(args, config: RunConfig, out: _Output) -> int:
         _printable(t)
     g = tf_to_game(pos)
     term = _render(g)
-    out.text(f"position {pos.text()}")
-    out.record(position=pos.text(), term=term)
-    _emit_eval(g, out, term)
+    run.text(f"position {pos.text()}")
+    run.record(position=pos.text(), term=term)
+    _emit_eval(g, run, term)
     return EXIT_OK
 
 
-def cmd_verify(args, config: RunConfig, out: _Output) -> int:
+def cmd_verify(args, run: _Run) -> int:
     if args.grid < _MIN_GRID:
         raise CliError(
             f"--grid must be >= {_MIN_GRID}: smaller grids cannot realize "
@@ -304,15 +293,14 @@ def cmd_verify(args, config: RunConfig, out: _Output) -> int:
     if args.grid > MAX_GRID:
         raise CliError(f"--grid must be <= {MAX_GRID}")
     grid = {"bound": args.grid} if args.suite == "outcome-template" else {}
-    result = run_suite(args.suite, config.spec, seed=args.seed, **grid)
+    result = run_suite(args.suite, run.spec, seed=args.seed, **grid)
     for check in result.checks:
         status = "ok" if check.passed else "FAIL"
-        out.text(f"{status} {result.suite}.{check.name} {check.details}")
-        out.record(suite=result.suite, check=check.name,
-                   status="ok" if check.passed else "fail",
-                   details=check.details)
-    out.text(f"suite {result.suite}: {'PASS' if result.passed else 'FAIL'}")
-    out.record(suite=result.suite,
+        run.text(f"{status} {result.suite}.{check.name} {check.details}")
+        run.record(suite=result.suite, check=check.name,
+                   status=status.lower(), details=check.details)
+    run.text(f"suite {result.suite}: {'PASS' if result.passed else 'FAIL'}")
+    run.record(suite=result.suite,
                status="pass" if result.passed else "fail")
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
@@ -337,7 +325,6 @@ _parser: Optional[argparse.ArgumentParser] = None
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
     global _parser
-    out = out if out is not None else sys.stdout
     if _parser is None:  # built on first use, so importing stays cheap
         _parser = build_parser()
     try:
@@ -345,8 +332,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        config = _config(args)
-        return _COMMANDS[args.command][0](args, config, _Output(config, out))
+        return _COMMANDS[args.command][0](args, _config(args, out))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ identity guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -86,27 +86,34 @@ def _score_key(s: Score) -> tuple[Score, int]:
     return (abs(s), 0 if s >= 0 else 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+#: Largest term, in tree nodes, that ``repr`` renders rather than sizes.
+_REPR_MAX_NODES = 1_000
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class GameTerm:
     """An immutable scoring-game term ``{left | score | right}``.
 
     ``left`` and ``right`` are deduplicated tuples in term order.  ``okey``
     is the cached total-order key (see :func:`term_order_key`); ``depth``
     and ``node_count`` are the usual tree measures (a leaf has depth 0 and
-    one node).  Equality and hashing are by object identity, which
-    interning makes coincide with structural identity.
+    one node); ``sl`` and ``sr`` are the final scores.  Equality and
+    hashing are by object identity, which interning makes coincide with
+    structural identity, and slots leave a term no ``__dict__``.
     """
 
     left: tuple["GameTerm", ...]
     score: Score
     right: tuple["GameTerm", ...]
-    depth: int = field(compare=False)
-    node_count: int = field(compare=False)
-    okey: tuple = field(compare=False)
-    sl: Score = field(compare=False)
-    sr: Score = field(compare=False)
+    depth: int
+    node_count: int
+    okey: tuple
+    sl: Score
+    sr: Score
 
     def __repr__(self) -> str:
+        if self.node_count > _REPR_MAX_NODES:
+            return f"GameTerm(<{self.node_count} nodes, depth {self.depth}>)"
         return f"GameTerm({render(self)})"
 
     @property

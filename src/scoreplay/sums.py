@@ -169,21 +169,20 @@ class SumEvaluator:
         if val is not None:
             return val
         for a, b in _pair_postorder(g, h, memo):
-            if a.left or b.left:
-                sl = max(
+            # Play ends on a side with no move in either component.
+            end = as_score(a.score + b.score)
+            memo[a, b] = (
+                max(
                     [memo[a, o][1] for o in b.left]
-                    + [memo[o, b][1] for o in a.left]
-                )
-            else:
-                sl = as_score(a.score + b.score)
-            if a.right or b.right:
-                sr = min(
+                    + [memo[o, b][1] for o in a.left],
+                    default=end,
+                ),
+                min(
                     [memo[a, o][0] for o in b.right]
-                    + [memo[o, b][0] for o in a.right]
-                )
-            else:
-                sr = as_score(a.score + b.score)
-            memo[a, b] = (sl, sr)
+                    + [memo[o, b][0] for o in a.right],
+                    default=end,
+                ),
+            )
         return memo[g, h]
 
     def outcome(self, g: GameTerm, h: GameTerm) -> Outcome:

@@ -532,3 +532,35 @@ def test_enum_output_on_guard_universes_is_unchanged(fmt):
         assert code == 0, flags
         text += out
     assert hashlib.sha256(text.encode()).hexdigest() == ENUM_GUARD_SHA256[fmt], text
+
+
+# One run of each printing command in conjectural mode, where every text
+# line carries the "[conjectural] " marker and every record the
+# "conjectural" field; verify partition and enum also cover the plain
+# and suite-result records.  sha256 of the concatenated output, pinned so
+# that changes to how a run prints leave what it prints byte-identical.
+CONJ_GUARD_RUNS = [
+    ("eval", "{1|0|0}"), ("eval", "{{1|0|-1/2}|0|.}"),
+    ("sum", "{1|0|0}", "{.|1/2|-1}"), ("neg", "{{2|1|0}|0|{0|-1|-2}}"),
+    ("cmp", "{1|0|0}", "0"), ("cmp", "{1|0|.}", "{.|0|-1}"),
+    ("cmp", "{{3|0|.}|1|.}", "{{1|0|.}|1|.}"),
+    ("canon", "{{3|0|4},{3|1|4}|0|.}"),
+    ("canon", "{{.|0|{-1|-1|.}}|0|{{.|1|1}|0|.}}", "--depth", "1",
+     "--width", "1", "--scores=-1,0,1"),
+    ("tf", "TBF"), ("enum", "--depth", "1", "--width", "1", "--scores", "0,1"),
+    ("verify", "partition"),
+]
+CONJ_GUARD_SHA256 = {
+    "text": "c5e04fe65f0ab6b6b418109144da907eceef77c0fa5f2f337a74eb34c40240af",
+    "jsonl": "5100a57a2ff1e51c59a0b59b97cf89b1bd1304531fc35e8396b1cd27db682234",
+}
+
+
+@pytest.mark.parametrize("fmt", list(CONJ_GUARD_SHA256))
+def test_conjectural_output_on_guard_runs_is_unchanged(fmt):
+    text = ""
+    for argv in CONJ_GUARD_RUNS:
+        code, out = run_cli(*argv, "--mode", "conjectural", "--format", fmt)
+        assert code == 0, argv
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == CONJ_GUARD_SHA256[fmt], text

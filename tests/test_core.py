@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from scoreplay import (
+    GameTerm,
     PathError,
     Side,
     as_score,
@@ -76,6 +78,55 @@ class TestConstruction:
         tbf = parse("{{.|0|{-1|-1|.}}|0|{{.|1|1}|0|.}}")
         assert tbf.depth == 3
         assert tbf.node_count == 7
+
+
+class TestRecord:
+    def test_no_instance_dict(self):
+        g = parse("{1|0|2}")
+        assert not hasattr(g, "__dict__")
+
+    def test_fields_are_frozen(self):
+        g = parse("{1|0|2}")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.score = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.okey = ()
+        assert g.score == 0
+
+    def test_exactly_the_eight_fields(self):
+        assert [f.name for f in dataclasses.fields(GameTerm)] == [
+            "left", "score", "right", "depth", "node_count", "okey", "sl", "sr",
+        ]
+
+    def test_equality_and_hash_are_identity(self):
+        g = parse("{1|0|2}")
+        # Built past game(), so not interned: equal fields, another object.
+        twin = GameTerm(g.left, g.score, g.right, g.depth, g.node_count,
+                        g.okey, g.sl, g.sr)
+        assert g == g and hash(g) == object.__hash__(g)
+        assert twin != g and not twin == g
+        assert hash(twin) == object.__hash__(twin)
+        assert len({g, twin}) == 2
+
+    def test_repr_renders_small_terms(self):
+        assert repr(parse("{1|0|0}")) == "GameTerm({1|0|0})"
+        assert repr(leaf(Fraction(-3, 2))) == "GameTerm(-3/2)"
+
+    def test_repr_of_a_shared_sum_is_short_and_immediate(self):
+        from scoreplay import add
+
+        # {c|0|c} on c, 200 levels deep: 2**201 - 1 tree positions, and
+        # its sum with itself spells out vastly more.
+        c = leaf(0)
+        for _ in range(200):
+            c = game([c], 0, [c])
+        s = add(c, c)
+        start = time.perf_counter()
+        text = repr(s)
+        assert time.perf_counter() - start < 0.1
+        assert text == f"GameTerm(<{s.node_count} nodes, depth {s.depth}>)"
+        assert len(text) < 200
+        assert repr(c).startswith("GameTerm(<")
 
 
 class TestNegate:

@@ -211,11 +211,30 @@ class TestSumEvaluator:
             assert ev.final_scores(g, h) == scores == final_scores(add(g, h))
             assert len(ev._memo) == len(_subterms(g)) * len(_subterms(h)) == pairs
 
+    # Pairs where play ends at the root on a side: each pair is taken both
+    # ways round, so "only g" and "only h" have a move there in turn.
+    # Every root score is a half, and the two roots sum to a whole.
+    END_OF_PLAY_PAIRS = [
+        # neither has a move on either side
+        ("1/2", "1/2"), ("-3/2", "{.|1/2|.}"),
+        # Left: only one has a move; Right: neither has one
+        ("{3/2|1/2|.}", "1/2"), ("{{.|1/2|1}|-1/2|.}", "-1/2"),
+        # Right: only one has a move; Left: neither has one
+        ("{.|1/2|-1/2}", "1/2"), ("{.|-1/2|{-1|1/2|.}}", "3/2"),
+        # Left: only the second has a move; Right: only the first
+        ("{.|1/2|{-1/2|0|.}}", "{{3/2|1/2|.}|-1/2|.}"),
+        # neither on Left, both on Right
+        ("{.|1/2|-1}", "{.|1/2|{2|0|.}}"),
+    ]
+
     def test_matches_the_oracles_on_sampled_pairs(self):
         games = sample_confluence_games(300, seed=19)
         rng, ev = random.Random(19), SumEvaluator()
-        for _ in range(300):
-            g, h = rng.choice(games), rng.choice(games)
+        pairs = [(rng.choice(games), rng.choice(games)) for _ in range(300)]
+        for a, b in self.END_OF_PLAY_PAIRS:
+            a, b = parse(a), parse(b)
+            pairs += [(a, b), (b, a)]
+        for g, h in pairs:
             memo = {}
             comps = (oracles.raw(g), oracles.raw(h))
             played = (
@@ -223,6 +242,9 @@ class TestSumEvaluator:
             )
             assert ev.final_scores(g, h) == ev.final_scores(h, g) == played
             assert final_scores_of_sum(g, h) == played
+            # a whole score comes back as an int, as add's terms hold it
+            for v in ev.final_scores(g, h):
+                assert type(v) is (int if v.denominator == 1 else Fraction)
 
     def test_whole_sums_of_halves_are_ints(self):
         # as add's terms hold them: a whole score has one representation

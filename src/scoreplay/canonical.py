@@ -8,6 +8,9 @@ tool can fully decide, so reduction runs in one of two modes:
 * ``Mode.CONJECTURAL`` - comparisons the bounded search fails to refute
   also trigger; traces are flagged so results are never mistaken for
   proven ones.
+
+The ``evaluator`` parameters are not read: the order searches keep
+what they build in their context tables.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .core import GameTerm, NodePath, Side, game
+from .core import GameTerm, NodePath, Side, _postorder, game
 from .order import (
     Refuted,
     UniverseSpec,
@@ -90,7 +93,6 @@ def _as_good(
     side: Side,
     spec: UniverseSpec,
     mode: Mode,
-    ev: SumEvaluator,
 ) -> Optional[Verdict]:
     """The verdict that a is at least as good as b for ``side``, or None.
 
@@ -100,7 +102,7 @@ def _as_good(
     """
     if mode is Mode.SOUND:
         return _sound_ge(a, b) if side is Side.LEFT else _sound_ge(b, a)
-    v = (greater_equal if side is Side.LEFT else less_equal)(a, b, spec, ev)
+    v = (greater_equal if side is Side.LEFT else less_equal)(a, b, spec)
     return None if isinstance(v, Refuted) else v
 
 
@@ -116,14 +118,13 @@ def dominated_options(
     sibling <= it.  Mutually equivalent siblings dominate each other, so
     both ordered pairs appear.
     """
-    ev = evaluator or SumEvaluator()
     out: list[tuple[Side, GameTerm, GameTerm, Verdict]] = []
     for side, options in ((Side.LEFT, g.left), (Side.RIGHT, g.right)):
         for better in options:
             for worse in options:
                 if better is worse:
                     continue
-                v = _as_good(better, worse, side, spec, mode, ev)
+                v = _as_good(better, worse, side, spec, mode)
                 if v is not None:
                     out.append((side, worse, better, v))
     return out
@@ -144,7 +145,6 @@ def reversible_options(
     would delete A outright, which the reversibility theorem does not
     license.
     """
-    ev = evaluator or SumEvaluator()
     out: list[tuple[Side, GameTerm, GameTerm, Verdict]] = []
     for side, options in ((Side.LEFT, g.left), (Side.RIGHT, g.right)):
         left = side is Side.LEFT
@@ -152,7 +152,7 @@ def reversible_options(
             for response in a.right if left else a.left:
                 if not (response.left if left else response.right):
                     continue
-                v = _as_good(response, g, side.opposite(), spec, mode, ev)
+                v = _as_good(response, g, side.opposite(), spec, mode)
                 if v is not None:
                     out.append((side, a, response, v))
                     break
@@ -160,10 +160,7 @@ def reversible_options(
 
 
 def _candidates(
-    g: GameTerm,
-    spec: UniverseSpec,
-    mode: Mode,
-    ev: SumEvaluator,
+    g: GameTerm, spec: UniverseSpec, mode: Mode
 ) -> list[ReductionStep]:
     """Every root reduction of g: dominations before reversibilities, each
     Left before Right.  Options are stored in term order, so dominations
@@ -172,10 +169,10 @@ def _candidates(
     """
     return [
         ReductionStep(ReductionKind.DOMINATION, side, worse, better, v)
-        for side, worse, better, v in dominated_options(g, spec, mode, ev)
+        for side, worse, better, v in dominated_options(g, spec, mode)
     ] + [
         ReductionStep(ReductionKind.REVERSIBILITY, side, option, response, v)
-        for side, option, response, v in reversible_options(g, spec, mode, ev)
+        for side, option, response, v in reversible_options(g, spec, mode)
     ]
 
 
@@ -201,8 +198,7 @@ def reduce_step(
     option; an rng picks among all applicable reductions instead, for
     confluence experiments.
     """
-    ev = evaluator or SumEvaluator()
-    cands = _candidates(g, spec, mode, ev)
+    cands = _candidates(g, spec, mode)
     if not cands:
         return None
     step = cands[rng.randrange(len(cands))] if rng else cands[0]
@@ -212,7 +208,7 @@ def reduce_step(
 #: SOUND forms of the terms with no step below their root: a step-free
 #: term maps to itself, any other to its unseeded form followed by its
 #: root steps (path ()).  SOUND verdicts read only the terms
-#: (``_sound_ge``), so an entry holds for every spec and evaluator.
+#: (``_sound_ge``), so an entry holds for every spec.
 #: Cleared by ``core.clear_caches``.
 _sound_forms: dict[GameTerm, object] = {}
 
@@ -242,9 +238,8 @@ def canonicalize(
     position has a candidate, so it redraws a remembered root's steps,
     skips a step-free subterm, and remembers only those.  A subterm with
     steps below is walked at each of its positions, which the trace lists
-    one by one anyway.
+    one by one anyway.  ``evaluator`` is not read.
     """
-    ev = evaluator or SumEvaluator()
     rng = random.Random(order_seed) if order_seed is not None else None
     memo = _sound_forms if mode is Mode.SOUND else {}
     trace = ReductionTrace()
@@ -278,7 +273,7 @@ def canonicalize(
             unchanged = node is t
             root = []
             while True:
-                hit = reduce_step(node, spec, mode, rng, ev)
+                hit = reduce_step(node, spec, mode, rng)
                 if hit is None:
                     break
                 node, step = hit
@@ -309,6 +304,7 @@ def is_canonical(
     """True iff no option anywhere in g is dominated or reversible.
 
     That is, iff ``canonicalize`` applies no step: a position with a
-    candidate would reduce.  SOUND answers read ``_sound_forms``.
+    candidate would reduce.  Each distinct subterm is tried once, and the
+    walk stops at the first candidate.
     """
-    return not canonicalize(g, spec, mode, evaluator=evaluator)[1].steps
+    return not any(_candidates(t, spec, mode) for t in _postorder(g, ()))

@@ -31,7 +31,7 @@ from .order import (
 )
 from .rulesets import TfError, _tf_terms, tf_parse, tf_to_game
 from .score import base_sets, final_scores, outcome
-from .sums import SumEvaluator, add
+from .sums import add
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -209,12 +209,10 @@ def _verdict_fields(v) -> dict:
 def cmd_cmp(args, run: _Run) -> int:
     g = _parse_expr(args.expr1)
     h = _parse_expr(args.expr2)
-    # Every verdict is read off class masks: those of the universe's
-    # classes are cached with it, those of any other g or h are kept here
-    # for all three relations.
-    ev = SumEvaluator()
+    # Every verdict is read off class masks, which the universe's table
+    # keeps, those of a g or h outside it too, for all three relations.
     verdicts = [
-        (rel, fn(g, h, run.spec, ev))
+        (rel, fn(g, h, run.spec))
         for rel, fn in ((">=", greater_equal), ("<=", less_equal), ("=", equal))
     ]
     if run.fmt == "text":

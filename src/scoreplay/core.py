@@ -99,7 +99,9 @@ class GameTerm:
     and ``node_count`` are the usual tree measures (a leaf has depth 0 and
     one node); ``sl`` and ``sr`` are the final scores.  Equality and
     hashing are by object identity, which interning makes coincide with
-    structural identity, and slots leave a term no ``__dict__``.
+    structural identity, and slots leave a term no ``__dict__``.  So a
+    term unpickles through ``game``, as the interned term, and a copy of
+    it is itself.
     """
 
     left: tuple["GameTerm", ...]
@@ -115,6 +117,15 @@ class GameTerm:
         if self.node_count > _REPR_MAX_NODES:
             return f"GameTerm(<{self.node_count} nodes, depth {self.depth}>)"
         return f"GameTerm({render(self)})"
+
+    def __reduce__(self):
+        return game, (self.left, self.score, self.right)
+
+    def __copy__(self) -> "GameTerm":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "GameTerm":
+        return self
 
     @property
     def is_leaf(self) -> bool:

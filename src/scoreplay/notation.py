@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Byte offsets (start, end) into the input text."""
+    """Character offsets (start, end) into the input text."""
 
     start: int
     end: int

@@ -4,7 +4,9 @@ The relations =, >= and <= quantify over *all* context games X, which no
 bounded tool can decide.  This module answers three-valued: Proved when a
 sound rule applies, Refuted with a concrete (context, outcome set)
 witness found in a finite enumerated universe, and otherwise Unrefuted
-with the universe bounds that were searched.
+with the universe bounds that were searched.  The ``evaluator`` and
+``ev`` parameters of the relations and searches are not read; only
+``ge_refutation_at`` and ``le_refutation_at`` evaluate pairs with theirs.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ class ContextTable:
     _END_R the contexts that have a Right option, for _NUM_R those with
     no number among their Right options (a min over no terms).  ``masks``
     caches the sign masks of the table's own classes by class id, so it
-    never holds more than len(table) entries.
+    never holds more than len(table) entries, and ``other`` those of any
+    other class, which ``_class_masks`` empties before a build once it
+    holds len(table) of them.
 
     ``levels`` is the column schedule that ``_extend_rows`` and
     ``_class_masks`` both fill by.  An id's height is its game's depth:
@@ -193,8 +197,8 @@ class ContextTable:
     """
 
     __slots__ = (
-        "order", "first_of", "first_bits", "games", "scores", "left",
-        "right", "full", "digits", "values", "always", "levels", "masks",
+        "order", "first_of", "first_bits", "games", "scores", "left", "right",
+        "full", "digits", "values", "always", "levels", "masks", "other",
     )
 
     def __init__(self, contexts: Iterable[GameTerm]) -> None:
@@ -226,6 +230,7 @@ class ContextTable:
         self.values: tuple[dict[Score, int], ...] = ({}, {}, {}, {})
         self.always = [0, 0, 0, 0]
         self.masks: dict[int, _Masks] = {}
+        self.other: dict[int, _Masks] = {}
         scores = self.scores
         number = [not l and not r for l, r in zip(self.left, self.right)]
         for i, (xl, xr) in enumerate(zip(self.left, self.right)):
@@ -523,19 +528,18 @@ def _find(
     g: GameTerm,
     h: GameTerm,
     contexts: Iterable[GameTerm],
-    ev: Optional[SumEvaluator],
     sets: Optional[tuple[OutcomeSet, ...]],
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
     """The first context, in the caller's order, that refutes, with its set.
 
-    A universe tuple is searched through its registry table, with the
-    masks of other classes kept in ev as a verdict keeps them.  Any other
-    iterable gets a throwaway table, whose masks are dropped with it.
+    A universe tuple is searched through its registry table, which keeps
+    the masks it builds.  Any other iterable gets a throwaway table, whose
+    masks are dropped with it.
     """
     for entry in _universe_cache.values():
         if entry.games is contexts:
-            return _search(g, h, entry.context_table(), ev, sets)
-    return _search(g, h, ContextTable(contexts), None, sets)
+            return _search(g, h, entry.context_table(), sets)
+    return _search(g, h, ContextTable(contexts), sets)
 
 
 def find_ge_refutation(
@@ -545,7 +549,7 @@ def find_ge_refutation(
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[tuple[GameTerm, OutcomeSet]]:
     """First context x and up-set O with h+x in O but g+x not, if any."""
-    return _find(g, h, contexts, ev, UP_SETS)
+    return _find(g, h, contexts, UP_SETS)
 
 
 def find_le_refutation(
@@ -555,7 +559,7 @@ def find_le_refutation(
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[tuple[GameTerm, OutcomeSet]]:
     """First context x and down-set O with h+x in O but g+x not, if any."""
-    return _find(g, h, contexts, ev, DOWN_SETS)
+    return _find(g, h, contexts, DOWN_SETS)
 
 
 def find_eq_refutation(
@@ -565,7 +569,7 @@ def find_eq_refutation(
     ev: Optional[SumEvaluator] = None,
 ) -> Optional[GameTerm]:
     """First context x where g+x and h+x have different outcomes, if any."""
-    hit = _find(g, h, contexts, ev, None)
+    hit = _find(g, h, contexts, None)
     return hit[0] if hit is not None else None
 
 
@@ -579,11 +583,11 @@ def greater_equal(
 
     Refuted means some enumerated context x and up-set O have h+x in O but
     g+x outside it; the witness is minimal in term order and the verdict
-    carries both for auditing.  The sign masks of classes outside the
-    universe are kept in ``evaluator`` for later verdicts that pass the
-    same one, and for this verdict alone when none is passed.
+    carries both for auditing.  The universe's table keeps the sign
+    masks it builds, those of classes outside it too (see
+    ``ContextTable``); ``evaluator`` is not read.
     """
-    return _verdict(_sound_ge(g, h), g, h, spec, evaluator, UP_SETS)
+    return _verdict(_sound_ge(g, h), g, h, spec, UP_SETS)
 
 
 def less_equal(
@@ -593,7 +597,7 @@ def less_equal(
     evaluator: Optional[SumEvaluator] = None,
 ) -> Verdict:
     """Three-valued g <= h, over the four down-sets."""
-    return _verdict(_sound_ge(h, g), g, h, spec, evaluator, DOWN_SETS)
+    return _verdict(_sound_ge(h, g), g, h, spec, DOWN_SETS)
 
 
 def _verdict(
@@ -601,7 +605,6 @@ def _verdict(
     g: GameTerm,
     h: GameTerm,
     spec: UniverseSpec,
-    evaluator: Optional[SumEvaluator],
     sets: Optional[tuple[OutcomeSet, ...]],
 ) -> Verdict:
     """The sound proof, else the first refutation, else Unrefuted.
@@ -612,7 +615,7 @@ def _verdict(
     if sound is not None:
         return sound
     table = _universe_entry(spec).context_table()
-    hit = _search(g, h, table, evaluator, sets)
+    hit = _search(g, h, table, sets)
     return Unrefuted(spec) if hit is None else Refuted(*hit)
 
 
@@ -620,22 +623,16 @@ def _search(
     g: GameTerm,
     h: GameTerm,
     table: ContextTable,
-    evaluator: Optional[SumEvaluator],
     sets: Optional[tuple[OutcomeSet, ...]],
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
     """The first refutation over the table, or None.
 
-    It is read off the sign masks of the classes of g and h.  Those of
-    the table's classes are cached in the table; those of any other
-    class are kept in the evaluator's scope for the table, or for this
-    call alone when none is passed.
+    It is read off the sign masks of the classes of g and h, which the
+    table caches: in ``masks`` for its own classes, in ``other`` for any
+    other class.
     """
-    kg, kh = _esig(g), _esig(h)
-    gm, hm = table.masks.get(kg), table.masks.get(kh)
-    if gm is None or hm is None:
-        scope = {} if evaluator is None else evaluator.context_rows(table)
-        gm = _class_masks(table, g, kg, scope)
-        hm = _class_masks(table, h, kh, scope)
+    gm = _class_masks(table, g, _esig(g))
+    hm = _class_masks(table, h, _esig(h))
     return _mask_refutation(gm, hm, table, sets)
 
 
@@ -652,14 +649,10 @@ def equal(
     h+X is, for every X.  Those sets fix the signs of SL and SR, and the
     signs fix the outcome.
     """
-    return _verdict(
-        _sound_ge(g, h) and _sound_ge(h, g), g, h, spec, evaluator, None
-    )
+    return _verdict(_sound_ge(g, h) and _sound_ge(h, g), g, h, spec, None)
 
 
-def _class_masks(
-    table: ContextTable, g: GameTerm, k: int, scope: dict
-) -> _Masks:
+def _class_masks(table: ContextTable, g: GameTerm, k: int) -> _Masks:
     """The sign masks of g's class k over the table; k may be any class.
 
     Bit i of each mask stands for the context of table id i, and is set
@@ -667,8 +660,10 @@ def _class_masks(
     (the argument in the ``ContextTable`` docstring, with the roles of g
     and X swapped), so one entry serves the whole class.  The masks of
     the table's own classes go to ``table.masks``, and those of any other
-    class, which are unbounded in number, to ``scope`` under their class
-    id.
+    class to ``table.other``.  Other classes are unbounded in number, so
+    ``other`` is emptied before a build once it holds len(table) of them;
+    a build reads only masks it finds or makes after that, so it never
+    holds more than len(table) plus one build's classes.
 
     The masks of a game u are built from those of its option classes,
     which are built first, without its score row; nothing here needs u
@@ -701,20 +696,22 @@ def _class_masks(
     threshold ORs (or ANDs) in.  A universe of depth 1 has one level, so
     its masks need no per-column work at all.
     """
-    known = table.masks
-    masks = known.get(k) or scope.get(k)
+    known, other = table.masks, table.other
+    masks = known.get(k) or other.get(k)
     if masks is not None:
         return masks
+    if len(other) >= len(table):
+        other.clear()
     table_classes = table.first_of
     for u in _postorder(g, ()):
         ku = _esig(u)
-        if ku in known or ku in scope:
+        if ku in known or ku in other:
             continue
         a = u.score
         if u.left:
             l_gt = l_ge = 0
             for o in u.left:
-                m = known.get(_esig(o)) or scope[_esig(o)]
+                m = known.get(_esig(o)) or other[_esig(o)]
                 l_gt |= m[2]
                 l_ge |= m[3]
         else:
@@ -725,7 +722,7 @@ def _class_masks(
         if u.right:
             r_gt = r_ge = table.full
             for o in u.right:
-                m = known.get(_esig(o)) or scope[_esig(o)]
+                m = known.get(_esig(o)) or other[_esig(o)]
                 r_gt &= m[0]
                 r_ge &= m[1]
         else:
@@ -757,8 +754,8 @@ def _class_masks(
                         rgt[i], rge[i] = gt, ge
             l_gt, l_ge, r_gt, r_ge = [int(row[::-1], 2) for row in rows]
         masks = (l_gt, l_ge, r_gt, r_ge)
-        (known if ku in table_classes else scope)[ku] = masks
-    return known.get(k) or scope[k]
+        (known if ku in table_classes else other)[ku] = masks
+    return masks
 
 
 def _outcome_masks(m: _Masks, full: int) -> tuple[int, int, int, int, int]:
@@ -833,13 +830,18 @@ def duality_check(
 
     Since every up-set is the complement of a down-set, the two searches
     must flag the same contexts.  This executes that theorem on the
-    universe's table by comparing the whole score rows of g and h, which
-    are kept in the evaluator's scope for the table when one is passed.  It stays off the sign
-    masks: those of <= are built as complements of those of >=, so a
-    check on them could never fail.
+    universe's table by comparing the whole score rows of g and h, built
+    for this call alone; ``evaluator`` is not read.  It stays off
+    the sign masks: those of <= are built as complements of those of >=,
+    so a check on them could never fail.
     """
-    table = _universe_entry(spec).context_table()
-    rows = {} if evaluator is None else evaluator.context_rows(table)
+    return _rows_mirror(g, h, _universe_entry(spec).context_table(), {})
+
+
+def _rows_mirror(
+    g: GameTerm, h: GameTerm, table: ContextTable, rows: dict[GameTerm, _Rows]
+) -> bool:
+    """``duality_check`` over the table, with score rows kept in ``rows``."""
     slg, srg = _extend_rows(g, table, rows)
     slh, srh = _extend_rows(h, table, rows)
     ge, le = _GE_TEST, _LE_TEST

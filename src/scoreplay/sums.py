@@ -144,24 +144,12 @@ class SumEvaluator:
     memo holds one entry per ordered pair evaluated, keyed on term
     identity; results equal those of evaluating add(g, h), a whole score
     coming back as an int.  Moves in h come before moves in g, as in a
-    score row (``order._extend_rows``).
-
-    An evaluator is also the memory scope of order searches, and what
-    they keep here lives as long as it does.  Each context table (see
-    ``order.ContextTable``) gets one scope, holding the sign masks that
-    verdicts and ``find_*`` searches build for classes outside the
-    table, and the whole score rows that ``duality_check`` computes.
+    score row (``order._extend_rows``).  The memo is all an evaluator
+    keeps: order searches keep their masks in their context table.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple[GameTerm, GameTerm], tuple[Score, Score]] = {}
-        self._rows: dict[object, dict] = {}
-
-    def context_rows(self, table: object) -> dict:
-        """What order searches keep for one context table: sign masks
-        keyed by int class id, and (SL, SR) score rows keyed by game.
-        The keys never collide, as a game compares equal only to itself."""
-        return self._rows.setdefault(table, {})
 
     def final_scores(self, g: GameTerm, h: GameTerm) -> tuple[Score, Score]:
         memo = self._memo

@@ -20,8 +20,9 @@ from .order import (
     ContextTable,
     UniverseSpec,
     _extend_rows,
+    _rows_mirror,
     _sound_ge,
-    duality_check,
+    _universe_entry,
     find_eq_refutation,
     find_ge_refutation,
     universe,
@@ -149,8 +150,9 @@ def verify_duality(
     games = universe(spec)
     rng = random.Random(seed)
     pairs = _sample_pairs(games, max_pairs, rng)
-    ev = SumEvaluator()
-    violations = sum(1 for g, h in pairs if not duality_check(g, h, spec, ev))
+    # duality_check on each pair, with score rows kept across pairs
+    table, rows = _universe_entry(spec).context_table(), {}
+    violations = sum(not _rows_mirror(g, h, table, rows) for g, h in pairs)
     exhaustive = len(pairs) == len(games) ** 2
     res.add(
         "refutations-mirror", violations == 0,
@@ -175,11 +177,10 @@ def verify_partial_order(
     res = SuiteResult("partial-order")
     games = universe(spec)
     rng = random.Random(seed)
-    ev = SumEvaluator()
 
     sample = _sample(games, max_games, rng)
     refl_bad = sum(
-        1 for g in sample if find_ge_refutation(g, g, games, ev) is not None
+        1 for g in sample if find_ge_refutation(g, g, games) is not None
     )
     res.add("reflexivity-never-refuted", refl_bad == 0,
             f"games={len(sample)} violations={refl_bad}")
@@ -205,7 +206,7 @@ def verify_partial_order(
     for g, h, j in chains:
         if _sound_ge(g, h) is None or _sound_ge(h, j) is None:
             continue
-        if find_ge_refutation(g, j, games, ev) is not None:
+        if find_ge_refutation(g, j, games) is not None:
             trans_bad += 1
     res.add("transitivity-probe", trans_bad == 0,
             f"chains={len(chains)} violations={trans_bad}")
@@ -213,12 +214,12 @@ def verify_partial_order(
     pairs = _sample_pairs(sample, max_pairs, rng)
     anti_checked = anti_bad = 0
     for g, h in pairs:
-        if find_ge_refutation(g, h, games, ev) is not None:
+        if find_ge_refutation(g, h, games) is not None:
             continue
-        if find_ge_refutation(h, g, games, ev) is not None:
+        if find_ge_refutation(h, g, games) is not None:
             continue
         anti_checked += 1
-        if find_eq_refutation(g, h, games, ev) is not None:
+        if find_eq_refutation(g, h, games) is not None:
             anti_bad += 1
     res.add("antisymmetry-probe", anti_bad == 0,
             f"mutually-unrefuted-pairs={anti_checked} violations={anti_bad}")
@@ -400,17 +401,16 @@ def verify_reduction_safety(
     contexts = universe(context_spec or spec)
     steps = outcome_bad = size_bad = 0
     for g in games:
-        ev = SumEvaluator()
         node = g
         while True:
-            hit = reduce_step(node, spec, Mode.SOUND, evaluator=ev)
+            hit = reduce_step(node, spec, Mode.SOUND)
             if hit is None:
                 break
             reduced, _ = hit
             steps += 1
             if reduced.node_count >= node.node_count:
                 size_bad += 1
-            if find_eq_refutation(node, reduced, contexts, ev) is not None:
+            if find_eq_refutation(node, reduced, contexts) is not None:
                 outcome_bad += 1
             node = reduced
     res.add("outcome-preserved", outcome_bad == 0,
@@ -486,11 +486,10 @@ def verify_confluence(
     """Different reduction orders land on equivalent canonical forms."""
     res = SuiteResult("confluence")
     games = sample_confluence_games(n_games, seed)
-    ev = SumEvaluator()
     divergent = reduced = 0
     for g in games:
         forms = [
-            canonicalize(g, spec, Mode.SOUND, order_seed=s, evaluator=ev)[0]
+            canonicalize(g, spec, Mode.SOUND, order_seed=s)[0]
             for s in _CONFLUENCE_SEEDS
         ]
         if any(f is not g for f in forms):
@@ -515,7 +514,6 @@ def verify_cong_probe(spec: UniverseSpec) -> SuiteResult:
     """Provedly equal universe pairs that are both canonical are equivalent."""
     res = SuiteResult("cong-probe")
     games = universe(spec)
-    ev = SumEvaluator()
 
     classes: dict[int, list[GameTerm]] = {}
     for g in games:
@@ -524,7 +522,7 @@ def verify_cong_probe(spec: UniverseSpec) -> SuiteResult:
     for members in classes.values():
         if len(members) < 2:
             continue
-        canon = [g for g in members if is_canonical(g, spec, Mode.SOUND, ev)]
+        canon = [g for g in members if is_canonical(g, spec, Mode.SOUND)]
         for i, g in enumerate(canon):
             for h in canon[i + 1:]:
                 pairs += 1

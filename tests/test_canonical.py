@@ -211,10 +211,9 @@ class TestCandidateOrder:
             + list(universe(DEFAULT))
         )
         subterms = dict.fromkeys(t for g in games for t in _postorder(g, ()))
-        ev = SumEvaluator()
         several = 0
         for t in subterms:
-            keys = [_sort_key(s) for s in _candidates(t, DEFAULT, mode, ev)]
+            keys = [_sort_key(s) for s in _candidates(t, DEFAULT, mode)]
             assert keys == sorted(set(keys)), render(t)
             several += len(keys) > 1
         assert several > 1000
@@ -310,7 +309,7 @@ class TestMemoizedWalk:
         assert len(calls) == 201 + 2 + 1 + 1
         calls.clear()
         assert is_canonical(chain, TINY)
-        assert calls == []  # SOUND forms outlive the call
+        assert calls == []  # is_canonical only looks for candidates
 
     @pytest.mark.parametrize("seed", [4, 9])
     def test_seeded_calls_match_the_tree_walker_cold_and_warm(self, seed):
@@ -395,8 +394,29 @@ class TestMemoizedWalk:
         verdicts = []
         for g in games:
             want = not any(
-                _candidates(t, spec, mode, ev) for t in _postorder(g, ())
+                _candidates(t, spec, mode) for t in _postorder(g, ())
             )
             assert is_canonical(g, spec, mode, ev) is want, render(g)
             verdicts.append(want)
         assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_is_canonical_tries_each_subterm_once_and_stops(
+            self, monkeypatch, mode):
+        calls = []
+        plain = canonical._candidates
+
+        def counted(t, *args):
+            calls.append(t)
+            return plain(t, *args)
+
+        monkeypatch.setattr(canonical, "_candidates", counted)
+        chain = _shared_chain(200)
+        g = game([chain, leaf(1), leaf(2)], 0, [chain])
+        # no SOUND step in the chain; CONJECTURAL reverses every level
+        for t, want in ((chain, mode is Mode.SOUND), (g, False)):
+            calls.clear()
+            assert is_canonical(t, TINY, mode) is want
+            assert len(set(calls)) == len(calls) <= len(_postorder(t, ()))
+            if mode is Mode.CONJECTURAL:
+                assert len(calls) < 10

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import time
 from collections import Counter
 from fractions import Fraction
@@ -29,6 +31,7 @@ from scoreplay import (
 from scoreplay.core import _postorder, _walk
 
 from conftest import terms
+from test_canonical import _shared_chain
 
 
 class TestScores:
@@ -127,6 +130,21 @@ class TestRecord:
         assert text == f"GameTerm(<{s.node_count} nodes, depth {s.depth}>)"
         assert len(text) < 200
         assert repr(c).startswith("GameTerm(<")
+
+    def test_pickled_and_copied_terms_stay_interned(self):
+        from scoreplay import add, tf_parse, tf_to_game
+
+        g = parse("{1|0|0}")
+        for t in (
+            leaf(3),
+            leaf(Fraction(-3, 2)),
+            add(g, negate(g)),
+            tf_to_game(tf_parse("TTBFF")),
+            _shared_chain(200),
+        ):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(t, protocol)) is t
+            assert copy.copy(t) is t is copy.deepcopy(t)
 
 
 class TestNegate:

@@ -81,6 +81,10 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse("{1|0|x}")
         assert exc.value.span.start == "{1|0|x}".index("x")
+        # character offsets, not byte offsets: é is two bytes in UTF-8
+        with pytest.raises(ParseError) as exc:
+            parse("{1|0|.}é")
+        assert (exc.value.span.start, exc.value.span.end) == (7, 8)
 
     def test_bad_character_after_a_long_number_fails_fast(self):
         # A backtracking whole-text match would take 2**40 steps here.

@@ -6,7 +6,6 @@ import pytest
 
 from scoreplay import (
     DEFAULT_UNIVERSE,
-    GameTerm,
     Proved,
     Refuted,
     SoundRule,
@@ -33,6 +32,7 @@ from scoreplay import (
     universe_size,
     zero,
 )
+from scoreplay import order
 from scoreplay.core import _esig, _postorder, as_score
 from scoreplay.order import (
     DOWN_SETS,
@@ -383,7 +383,7 @@ class TestContextKernel:
         }
         games, contexts = pools[source]
         rng = random.Random(source)
-        ev = SumEvaluator()  # shared: masks carry over between searches
+        ev = SumEvaluator()  # passed as callers do; searches do not read it
         for _ in range(12):
             g, h = rng.choice(games), rng.choice(games)
             expected = _scalar_first_hits(g, h, contexts)
@@ -456,10 +456,11 @@ class TestContextKernel:
                 assert (sl[i], sr[i]) == (fl + a, fr + a)
                 assert (sl[i], sr[i]) == ev.final_scores(leaf(a), x)
 
-    def test_rows_and_masks_live_in_the_evaluator(self, default_universe):
+    def test_masks_live_in_the_table(self, default_universe, monkeypatch):
         entry = _universe_entry(DEFAULT_UNIVERSE)
         table = entry.context_table()
         assert entry.context_table() is table
+        table.other.clear()
         ev = SumEvaluator()
         # universe games are decided from their class masks, not rows
         assert greater_equal(leaf(0), leaf(1), DEFAULT_UNIVERSE, ev) == (
@@ -469,32 +470,44 @@ class TestContextKernel:
         assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
         masks = table.masks
         assert {_esig(x) for x in (leaf(0), leaf(1), g, h)} <= masks.keys()
-        scope = ev.context_rows(table)
-        assert scope == {}
-        # so are games outside the universe, whose masks live in ev
+        assert table.other == {}
+        # so are games outside the universe, whose masks go to other
         assert greater_equal(leaf(0), leaf(3), DEFAULT_UNIVERSE, ev) == (
             Refuted(zero(), OutcomeSet.L_GT)
         )
         g = parse("{3|0|.}")
         assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
-        assert scope.keys() == {_esig(leaf(3)), _esig(g)}
+        assert table.other.keys() == {_esig(leaf(3)), _esig(g)}
         assert _esig(leaf(3)) not in masks and _esig(g) not in masks
-        # the find_* searches read the same masks and write no rows; a
-        # list that is not the universe tuple leaves nothing in ev
-        for contexts in (default_universe, list(default_universe)):
-            assert find_ge_refutation(leaf(0), leaf(3), contexts, ev) == (
-                zero(), OutcomeSet.L_GT
-            )
-            assert find_ge_refutation(g, h, contexts, ev) is None
-        assert scope.keys() == {_esig(leaf(3)), _esig(g)}
-        assert ev._rows.keys() == {table}
-        # duality_check fills whole rows in the same scope, keyed by game
-        assert duality_check(g, h, DEFAULT_UNIVERSE, ev)
-        rows = {k: v for k, v in scope.items() if isinstance(k, GameTerm)}
-        assert {g, h} <= rows.keys()
-        assert all(len(sl) == len(sr) == len(table) for sl, sr in rows.values())
-        # another evaluator starts with no rows of its own
-        assert SumEvaluator().context_rows(table) == {}
+        # find_* over the universe tuple reads and keeps the same masks
+        assert find_ge_refutation(leaf(0), leaf(4), default_universe, ev) == (
+            zero(), OutcomeSet.L_GT
+        )
+        assert find_ge_refutation(g, h, default_universe, ev) is None
+        assert table.other.keys() == {_esig(leaf(3)), _esig(g), _esig(leaf(4))}
+        # over any other list it gets a table of its own
+        other = dict(table.other)
+        contexts = list(default_universe)
+        assert find_ge_refutation(leaf(0), leaf(5), contexts, ev) == (
+            zero(), OutcomeSet.L_GT
+        )
+        assert find_ge_refutation(g, h, contexts, ev) is None
+        assert table.other == other
+        # duality_check builds whole rows for one call and keeps none
+        seen = []
+        plain = order._extend_rows
+
+        def spy(u, t, rows):
+            seen.append((rows, len(rows)))
+            return plain(u, t, rows)
+
+        monkeypatch.setattr(order, "_extend_rows", spy)
+        for _ in range(2):
+            assert duality_check(g, h, DEFAULT_UNIVERSE, ev)
+        (first, n1), _, (second, n2), _ = seen
+        assert first is not second and n1 == n2 == 0
+        assert table.other == other and table.masks is masks
+        assert vars(ev) == {"_memo": {}}
 
     def test_first_member_ids_follow_the_callers_order(self):
         # b is a subterm of a, so it is built before a; the first member
@@ -698,12 +711,12 @@ class TestLevelSchedule:
 # verdicts from class sign masks against verdicts rebuilt from the scans
 # ---------------------------------------------------------------------------
 
-def _row_scan(g, h, spec, ev, test):
+def _row_scan(g, h, spec, rows, test):
     """The first context of spec's table, in scan order, where test hits
-    on the whole score rows of g and h, with the hit; rows are kept in ev.
+    on the whole score rows of g and h, with the hit; rows are kept in
+    ``rows``, which only scans of spec share.
     """
     table = _universe_entry(spec).context_table()
-    rows = ev.context_rows(table)
     slg, srg = _extend_rows(g, table, rows)
     slh, srh = _extend_rows(h, table, rows)
     contexts = universe(spec)
@@ -729,25 +742,25 @@ def _outcomes_differ(slg, srg, slh, srh):
     return None
 
 
-def _scan_verdicts(g, h, spec, ev):
+def _scan_verdicts(g, h, spec, rows):
     """(>=, <=, =) from the sound rules and a scan of whole score rows."""
     ge = _sound_ge(g, h)
     if ge is None:
-        hit = _row_scan(g, h, spec, ev, _set_test(UP_SETS))
+        hit = _row_scan(g, h, spec, rows, _set_test(UP_SETS))
         ge = Unrefuted(spec) if hit is None else Refuted(*hit)
     le = _sound_ge(h, g)
     if le is None:
-        hit = _row_scan(g, h, spec, ev, _set_test(DOWN_SETS))
+        hit = _row_scan(g, h, spec, rows, _set_test(DOWN_SETS))
         le = Unrefuted(spec) if hit is None else Refuted(*hit)
     eq = _sound_ge(g, h) and _sound_ge(h, g)
     if eq is None:
-        hit = _row_scan(g, h, spec, ev, _outcomes_differ)
+        hit = _row_scan(g, h, spec, rows, _outcomes_differ)
         eq = Unrefuted(spec) if hit is None else Refuted(hit[0])
     return ge, le, eq
 
 
 def _check_against_scans(pairs, spec):
-    ev = SumEvaluator()
+    rows = {}
     kinds = set()
     for g, h in pairs:
         verdicts = (
@@ -755,7 +768,7 @@ def _check_against_scans(pairs, spec):
             less_equal(g, h, spec),
             equal(g, h, spec),
         )
-        assert verdicts == _scan_verdicts(g, h, spec, ev), (g, h)
+        assert verdicts == _scan_verdicts(g, h, spec, rows), (g, h)
         ge, le, eq = verdicts
         _check_witnesses(g, h, (
             (ge.witness, ge.witness_set) if isinstance(ge, Refuted) else None,
@@ -790,10 +803,9 @@ class TestClassMasks:
 
     def test_outcome_masks_partition_every_column(self, default_universe):
         table = _universe_entry(DEFAULT_UNIVERSE).context_table()
-        full, scope = table.full, {}
+        full = table.full
         for g in list(default_universe) + _deep_games() + _fraction_games():
-            parts = _outcome_masks(
-                _class_masks(table, g, _esig(g), scope), full)
+            parts = _outcome_masks(_class_masks(table, g, _esig(g)), full)
             union = 0
             for part in parts:
                 assert union & part == 0
@@ -836,7 +848,7 @@ def _mask(flags):
 def _fresh_table(spec):
     """A copy of spec's registered table with no masks yet."""
     table = copy.copy(_universe_entry(spec).context_table())
-    table.masks = {}
+    table.masks, table.other = {}, {}
     return table
 
 
@@ -897,7 +909,7 @@ class TestMaskRecurrence:
     def test_every_class_matches_its_row(self, spec, classes):
         table = _fresh_table(spec)
         for g in _class_games(table):
-            _class_masks(table, g, _esig(g), {})
+            _class_masks(table, g, _esig(g))
         assert len(table.masks) == classes
         # depth 1: every option of every context is a number
         assert len(table.levels) == 1
@@ -908,7 +920,7 @@ class TestMaskRecurrence:
         table = _fresh_table(DEPTH_TWO)
         assert len(table) == len(table.first_of) == 7205
         for g in random.Random(1515).sample(_class_games(table), 60):
-            _class_masks(table, g, _esig(g), {})
+            _class_masks(table, g, _esig(g))
         # 80 contexts have numbers for options, or none; the deep pass
         # reads the other columns, level 2
         level_two = {i for side in table.levels[1] for i in side[0]}
@@ -920,26 +932,26 @@ class TestMaskRecurrence:
     def test_building_a_class_builds_its_option_classes(self):
         table = _fresh_table(DEPTH_TWO)
         g = parse("{{1|0|.}|0|{.|1|2}}")
-        masks = _class_masks(table, g, _esig(g), {})
+        masks = _class_masks(table, g, _esig(g))
         subterms = [g, parse("{1|0|.}"), parse("{.|1|2}"), leaf(1), leaf(2)]
         assert table.masks.keys() == {_esig(t) for t in subterms}
         assert all(k in table.first_of for k in table.masks)
-        assert _class_masks(table, g, _esig(g), {}) is masks
+        assert _class_masks(table, g, _esig(g)) is masks
         assert _mismatched_classes(table) == []
 
     @pytest.mark.parametrize("spec", [DEFAULT_UNIVERSE, DEPTH_TWO])
     def test_classes_outside_the_table_match_their_rows(self, spec):
         table = _fresh_table(spec)
-        rows, scope = {}, {}
+        rows = {}
         outside = [
             g for g in _games_outside(spec) if _esig(g) not in table.first_of
         ]
         assert len(outside) >= 7
         for g in outside:
-            assert _class_masks(table, g, _esig(g), scope) == (
+            assert _class_masks(table, g, _esig(g)) == (
                 _row_class_masks(table, g, rows)
             ), render(g)
-        assert {_esig(g) for g in outside} <= scope.keys()
+        assert {_esig(g) for g in outside} <= table.other.keys()
         assert table.masks.keys() <= table.first_of.keys()
         assert _mismatched_classes(table) == []
 
@@ -947,16 +959,40 @@ class TestMaskRecurrence:
             self, default_universe):
         table = _universe_entry(DEFAULT_UNIVERSE).context_table()
         before = len(table.masks)
-        rng, ev = random.Random(1616), SumEvaluator()
+        rng, rows = random.Random(1616), {}
         for i in range(1, 201):
             # no score of g or h, nor of their subterms, is an integer
             g = shift(rng.choice(default_universe), Fraction(i, 211))
             h = shift(rng.choice(default_universe), Fraction(-i, 223))
             v = greater_equal(g, h)
             if i % 10 == 0:  # the Fraction row scans are the slow part
-                assert v == _scan_verdicts(g, h, DEFAULT_UNIVERSE, ev)[0]
+                assert v == _scan_verdicts(g, h, DEFAULT_UNIVERSE, rows)[0]
         assert table.masks.keys() <= table.first_of.keys()
         assert len(table.masks) == before
+
+    def test_masks_outside_the_table_stay_bounded(self, tiny_universe):
+        table = _universe_entry(TINY).context_table()
+        greater_equal(tiny_universe[5], tiny_universe[40], TINY)
+        masks, n = dict(table.masks), len(table)
+        assert masks
+        rng, rows = random.Random(1717), {}
+        cleared = 0
+        for i in range(1, 3 * n + 1):
+            # new classes each time: no score of g or h is an integer
+            g = shift(rng.choice(tiny_universe), Fraction(i, 211))
+            h = shift(rng.choice(tiny_universe), Fraction(-i, 223))
+            before = len(table.other)
+            verdicts = (
+                greater_equal(g, h, TINY),
+                less_equal(g, h, TINY),
+                equal(g, h, TINY),
+            )
+            cleared += len(table.other) < before
+            build = max(len(_postorder(x, ())) for x in (g, h))
+            assert len(table.other) <= n + build
+            assert verdicts == _scan_verdicts(g, h, TINY, rows), (g, h)
+        assert cleared > 0
+        assert table.masks == masks
 
     def test_cross_check_catches_a_broken_threshold(self, monkeypatch):
         signs = ContextTable.signs
@@ -969,7 +1005,7 @@ class TestMaskRecurrence:
         monkeypatch.setattr(ContextTable, "signs", broken)
         table = _fresh_table(DEFAULT_UNIVERSE)
         for g in _class_games(table):
-            _class_masks(table, g, _esig(g), {})
+            _class_masks(table, g, _esig(g))
         assert _mismatched_classes(table) != []
 
     def test_first_members_hold_their_contexts(self):
@@ -1001,7 +1037,7 @@ class TestMaskRecurrence:
         extra = parse("{1|1|-1}")
         assert table.games.index(extra) == len(table) - 2
         for g in games:
-            _class_masks(table, g, _esig(g), {})
+            _class_masks(table, g, _esig(g))
         assert len(table.masks) == len(table.first_of)
         assert _mismatched_classes(table) == []
         # the last id, t's, is a column too: outcome N against P there

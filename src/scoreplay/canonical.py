@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .core import GameTerm, NodePath, Side, _postorder, game
+from .core import GameTerm, NodePath, Side, _cache, _postorder, game
 from .order import (
     Refuted,
     UniverseSpec,
@@ -209,8 +209,7 @@ def reduce_step(
 #: term maps to itself, any other to its unseeded form followed by its
 #: root steps (path ()).  SOUND verdicts read only the terms
 #: (``_sound_ge``), so an entry holds for every spec.
-#: Cleared by ``core.clear_caches``.
-_sound_forms: dict[GameTerm, object] = {}
+_sound_forms: dict[GameTerm, object] = _cache()
 
 
 def canonicalize(

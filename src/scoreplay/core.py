@@ -134,6 +134,16 @@ class GameTerm:
 
 _interned: dict[tuple, GameTerm] = {}
 
+#: Every memo that ``clear_caches`` empties, each registered by ``_cache``.
+_caches: list[dict] = []
+
+
+def _cache() -> dict:
+    """A new memo dict, registered with ``clear_caches``."""
+    cache: dict = {}
+    _caches.append(cache)
+    return cache
+
 
 def _canon_options(options: Iterable[GameTerm]) -> tuple[GameTerm, ...]:
     opts = tuple(options)
@@ -199,7 +209,7 @@ def identical(g: GameTerm, h: GameTerm) -> bool:
     return g is h
 
 
-_negate_cache: dict[GameTerm, GameTerm] = {}
+_negate_cache: dict[GameTerm, GameTerm] = _cache()
 
 
 def negate(g: GameTerm) -> GameTerm:
@@ -312,7 +322,7 @@ def _walk(g: GameTerm, done: Container[GameTerm]) -> tuple[list, dict]:
 #: Class ids by (termination score or None, sorted left and right ids).
 #: Never cleared: a reused id would make unrelated games equivalent.
 _class_ids: dict[tuple, int] = {}
-_esig_cache: dict[GameTerm, int] = {}
+_esig_cache: dict[GameTerm, int] = _cache()
 
 
 def _esig(g: GameTerm) -> int:
@@ -384,14 +394,12 @@ def render(g: GameTerm, full: bool = False) -> str:
 
 
 def clear_caches() -> None:
-    """Drop evaluation caches (not the intern or class-id tables).
+    """Empty every memo made by ``_cache``, universes among them; the
+    intern and class-id tables stay.
 
-    Caches are observationally transparent; this exists for tests and for
-    long sessions that want to release memory.
+    Caches are observationally transparent; this exists for tests and
+    for long sessions that want to release memory.  A universe tuple a
+    caller still holds keeps its context table.
     """
-    from . import canonical as _canonical, sums as _sums
-
-    _negate_cache.clear()
-    _esig_cache.clear()
-    _sums.clear_sum_caches()
-    _canonical._sound_forms.clear()
+    for cache in _caches:
+        cache.clear()

@@ -15,14 +15,15 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .core import (
-    GameTerm, Score, as_score, equivalent, game, leaf, render, _esig, _postorder,
-    _score_key,
+    GameTerm, Score, as_score, equivalent, game, leaf, render, _cache, _esig,
+    _postorder, _score_key,
 )
 from .score import _SET_TESTS, OutcomeSet
 from .sums import SumEvaluator, is_numeric
@@ -313,32 +314,26 @@ def _getter(ids) -> Callable:
     return lambda row: (row[i],)
 
 
-class _Universe:
-    """A universe's games and, once searched, their context table."""
+class _Games(tuple):
+    """A universe's games, with their context table built on first use."""
 
-    __slots__ = ("games", "table")
-
-    def __init__(self, games: tuple[GameTerm, ...]) -> None:
-        self.games = games
-        self.table: Optional[ContextTable] = None
-
-    def context_table(self) -> ContextTable:
-        if self.table is None:
-            self.table = ContextTable(self.games)
-        return self.table
+    @cached_property
+    def table(self) -> ContextTable:
+        return ContextTable(self)
 
 
-_universe_cache: dict[UniverseSpec, _Universe] = {}
+_universe_cache: dict[UniverseSpec, _Games] = _cache()
 
 
 def universe(spec: UniverseSpec) -> tuple[GameTerm, ...]:
-    """The full universe as a tuple, sorted by term order (cached)."""
-    return _universe_entry(spec).games
+    """The full universe as a tuple, sorted by term order.
 
-
-def _universe_entry(spec: UniverseSpec) -> _Universe:
-    entry = _universe_cache.get(spec)
-    if entry is None:
+    The same tuple is returned until ``clear_caches``; its ``table``
+    attribute is its ``ContextTable``, built on the first search and
+    kept with the tuple.
+    """
+    games = _universe_cache.get(spec)
+    if games is None:
         if _too_large(spec):
             raise ValueError(
                 f"universe {spec.describe()} has more than "
@@ -356,9 +351,9 @@ def _universe_entry(spec: UniverseSpec) -> _Universe:
                 for s in spec.scores
                 for rt in option_sets
             ]
-        entry = _Universe(tuple(sorted(pool, key=lambda t: t.okey)))
-        _universe_cache[spec] = entry
-    return entry
+        games = _Games(sorted(pool, key=lambda t: t.okey))
+        _universe_cache[spec] = games
+    return games
 
 
 def enumerate_universe(spec: UniverseSpec) -> Iterator[GameTerm]:
@@ -532,13 +527,12 @@ def _find(
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
     """The first context, in the caller's order, that refutes, with its set.
 
-    A universe tuple is searched through its registry table, which keeps
-    the masks it builds.  Any other iterable gets a throwaway table, whose
-    masks are dropped with it.
+    A tuple from ``universe`` is searched through its own table, which
+    keeps the masks it builds.  Any other iterable gets a throwaway
+    table, whose masks are dropped with it.
     """
-    for entry in _universe_cache.values():
-        if entry.games is contexts:
-            return _search(g, h, entry.context_table(), sets)
+    if isinstance(contexts, _Games):
+        return _search(g, h, contexts.table, sets)
     return _search(g, h, ContextTable(contexts), sets)
 
 
@@ -614,8 +608,7 @@ def _verdict(
     """
     if sound is not None:
         return sound
-    table = _universe_entry(spec).context_table()
-    hit = _search(g, h, table, sets)
+    hit = _search(g, h, universe(spec).table, sets)
     return Unrefuted(spec) if hit is None else Refuted(*hit)
 
 
@@ -835,7 +828,7 @@ def duality_check(
     the sign masks: those of <= are built as complements of those of >=,
     so a check on them could never fail.
     """
-    return _rows_mirror(g, h, _universe_entry(spec).context_table(), {})
+    return _rows_mirror(g, h, universe(spec).table, {})
 
 
 def _rows_mirror(

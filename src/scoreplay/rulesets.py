@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import GameTerm, Score, Side, game
+from .core import GameTerm, Score, Side, _cache, game
 from .notation import MAX_NESTING
 
 __all__ = ["TfPosition", "TfError", "tf_parse", "tf_moves", "tf_to_game"]
@@ -86,7 +86,7 @@ def tf_moves(p: TfPosition, player: Side) -> list[tuple[TfPosition, Score]]:
     return out
 
 
-_tf_cache: dict[tuple[tuple[str, ...], Score], GameTerm] = {}
+_tf_cache: dict[tuple[tuple[str, ...], Score], GameTerm] = _cache()
 
 
 def _tf_terms(p: TfPosition) -> Iterator[GameTerm]:

@@ -12,6 +12,7 @@ from typing import Container, Iterator
 from .core import (
     GameTerm,
     Score,
+    _cache,
     as_score,
     game,
     identical,
@@ -29,7 +30,6 @@ __all__ = [
     "outcome_template",
     "SumEvaluator",
     "final_scores_of_sum",
-    "clear_sum_caches",
 ]
 
 
@@ -38,7 +38,7 @@ def zero() -> GameTerm:
     return leaf(0)
 
 
-_add_cache: dict[tuple[GameTerm, GameTerm], GameTerm] = {}
+_add_cache: dict[tuple[GameTerm, GameTerm], GameTerm] = _cache()
 
 
 def add(g: GameTerm, h: GameTerm) -> GameTerm:
@@ -180,7 +180,3 @@ class SumEvaluator:
 def final_scores_of_sum(g: GameTerm, h: GameTerm) -> tuple[Score, Score]:
     """One-shot componentwise (SL, SR) of g+h with a throwaway memo."""
     return SumEvaluator().final_scores(g, h)
-
-
-def clear_sum_caches() -> None:
-    _add_cache.clear()

@@ -22,7 +22,6 @@ from .order import (
     _extend_rows,
     _rows_mirror,
     _sound_ge,
-    _universe_entry,
     find_eq_refutation,
     find_ge_refutation,
     universe,
@@ -151,7 +150,7 @@ def verify_duality(
     rng = random.Random(seed)
     pairs = _sample_pairs(games, max_pairs, rng)
     # duality_check on each pair, with score rows kept across pairs
-    table, rows = _universe_entry(spec).context_table(), {}
+    table, rows = games.table, {}
     violations = sum(not _rows_mirror(g, h, table, rows) for g, h in pairs)
     exhaustive = len(pairs) == len(games) ** 2
     res.add(

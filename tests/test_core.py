@@ -317,6 +317,50 @@ def test_caches_are_observationally_transparent():
     assert before == after
 
 
+def test_every_memo_registers_with_clear_caches():
+    from scoreplay import (
+        DEFAULT_UNIVERSE, add, canonical, canonicalize, clear_caches, core,
+        greater_equal, order, rulesets, sums, tf_parse, tf_to_game, universe,
+    )
+    from scoreplay.order import find_ge_refutation
+
+    memos = [
+        core._negate_cache, core._esig_cache, sums._add_cache,
+        canonical._sound_forms, rulesets._tf_cache, order._universe_cache,
+    ]
+    assert len(core._caches) == len(memos)
+    assert {id(m) for m in core._caches} == {id(m) for m in memos}
+    g = parse("{{.|0|{-1|-1|.}}|0|{{.|1|1}|0|.}}")
+    h = parse("{1|0|-1}")
+    u = universe(DEFAULT_UNIVERSE)
+    x, y = leaf(0), leaf(1)
+
+    def results():
+        form, trace = canonicalize(parse("{2,1|0|.}"), DEFAULT_UNIVERSE)
+        return (
+            negate(g), core._esig(g), add(g, h), form, trace.steps,
+            tf_to_game(tf_parse("TTBFF")), greater_equal(g, h),
+            greater_equal(x, y),
+        )
+
+    before = results()
+    assert all(memos)
+    table = u.table
+    clear_caches()
+    assert not any(memos)
+    assert u.table is table
+    # find_* over a tuple held across the clear still fills its table
+    table.masks.pop(core._esig(x), None)
+    refuted = before[-1]
+    assert find_ge_refutation(x, y, u) == (
+        refuted.witness, refuted.witness_set
+    )
+    assert core._esig(x) in table.masks
+    fresh = universe(DEFAULT_UNIVERSE)
+    assert fresh is not u and fresh == u
+    assert results() == before
+
+
 def _reference_esig(g, memo):
     # The recursive nested-tuple signature that class ids replaced: equal
     # signatures mean equivalent games.

@@ -39,14 +39,13 @@ from scoreplay.order import (
     UP_SETS,
     _NUM_L,
     ContextTable,
-    _Universe,
+    _Games,
     _class_masks,
     _extend_rows,
     _mask_refutation,
     _outcome_masks,
     _sound_ge,
     _universe_cache,
-    _universe_entry,
     find_eq_refutation,
     find_ge_refutation,
     find_le_refutation,
@@ -352,7 +351,7 @@ class TestContextKernel:
     @pytest.mark.parametrize("spec", [TINY, DEFAULT_UNIVERSE])
     def test_universe_table_has_one_id_per_class(self, spec):
         games = universe(spec)
-        table = _universe_entry(spec).context_table()
+        table = universe(spec).table
         classes = {_esig(x) for x in games}
         assert len(table) == len(classes) == len(set(table.order))
         for x, i in zip(games, table.order):
@@ -363,7 +362,7 @@ class TestContextKernel:
             range(len(table)))
 
     def test_class_columns_equal_pairwise_evaluator(self, default_universe):
-        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        table = universe(DEFAULT_UNIVERSE).table
         assert len(table) == 380
         ev = SumEvaluator()
         for g in _deep_games()[:6] + _fraction_games()[::15]:
@@ -456,10 +455,12 @@ class TestContextKernel:
                 assert (sl[i], sr[i]) == (fl + a, fr + a)
                 assert (sl[i], sr[i]) == ev.final_scores(leaf(a), x)
 
-    def test_masks_live_in_the_table(self, default_universe, monkeypatch):
-        entry = _universe_entry(DEFAULT_UNIVERSE)
-        table = entry.context_table()
-        assert entry.context_table() is table
+    def test_masks_live_in_the_table(self, monkeypatch):
+        # one tuple for the verdicts and the find_* calls: a session
+        # fixture may predate a clear_caches, and so hold another table
+        u = universe(DEFAULT_UNIVERSE)
+        table = u.table
+        assert universe(DEFAULT_UNIVERSE).table is table
         table.other.clear()
         ev = SumEvaluator()
         # universe games are decided from their class masks, not rows
@@ -480,14 +481,14 @@ class TestContextKernel:
         assert table.other.keys() == {_esig(leaf(3)), _esig(g)}
         assert _esig(leaf(3)) not in masks and _esig(g) not in masks
         # find_* over the universe tuple reads and keeps the same masks
-        assert find_ge_refutation(leaf(0), leaf(4), default_universe, ev) == (
+        assert find_ge_refutation(leaf(0), leaf(4), u, ev) == (
             zero(), OutcomeSet.L_GT
         )
-        assert find_ge_refutation(g, h, default_universe, ev) is None
+        assert find_ge_refutation(g, h, u, ev) is None
         assert table.other.keys() == {_esig(leaf(3)), _esig(g), _esig(leaf(4))}
         # over any other list it gets a table of its own
         other = dict(table.other)
-        contexts = list(default_universe)
+        contexts = list(u)
         assert find_ge_refutation(leaf(0), leaf(5), contexts, ev) == (
             zero(), OutcomeSet.L_GT
         )
@@ -692,13 +693,13 @@ class TestLevelSchedule:
             ], render(g)
 
     def test_default_table_has_one_level(self):
-        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        table = universe(DEFAULT_UNIVERSE).table
         assert len(table.levels) == 1
         seen = _schedule_levels(table)
         assert set(seen[0].values()) == set(seen[1].values()) == {1}
 
     def test_depth_two_level_two_is_the_deep_pass(self):
-        table = _universe_entry(DEPTH_TWO).context_table()
+        table = universe(DEPTH_TWO).table
         assert len(table.levels) == 2
         level_two = set()
         for side in table.levels[1]:
@@ -716,7 +717,7 @@ def _row_scan(g, h, spec, rows, test):
     on the whole score rows of g and h, with the hit; rows are kept in
     ``rows``, which only scans of spec share.
     """
-    table = _universe_entry(spec).context_table()
+    table = universe(spec).table
     slg, srg = _extend_rows(g, table, rows)
     slh, srh = _extend_rows(h, table, rows)
     contexts = universe(spec)
@@ -792,7 +793,7 @@ class TestClassMasks:
 
     def test_pairs_outside_the_universe_are_decided_from_masks(
             self, default_universe):
-        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        table = universe(DEFAULT_UNIVERSE).table
         pool = (list(default_universe[::40]) + _deep_games()[:20]
                 + _fraction_games()[::12])
         rng = random.Random(1414)
@@ -802,7 +803,7 @@ class TestClassMasks:
         assert all(k in table.first_of for k in table.masks)
 
     def test_outcome_masks_partition_every_column(self, default_universe):
-        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        table = universe(DEFAULT_UNIVERSE).table
         full = table.full
         for g in list(default_universe) + _deep_games() + _fraction_games():
             parts = _outcome_masks(_class_masks(table, g, _esig(g)), full)
@@ -817,7 +818,7 @@ class TestClassMasks:
             for h in default_universe[::97]:
                 greater_equal(g, h)
                 equal(g, h)
-        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        table = universe(DEFAULT_UNIVERSE).table
         assert 0 < len(table.masks) <= len(table)
 
 
@@ -846,8 +847,8 @@ def _mask(flags):
 
 
 def _fresh_table(spec):
-    """A copy of spec's registered table with no masks yet."""
-    table = copy.copy(_universe_entry(spec).context_table())
+    """A copy of the table of spec's universe, with no masks yet."""
+    table = copy.copy(universe(spec).table)
     table.masks, table.other = {}, {}
     return table
 
@@ -870,7 +871,7 @@ def _mismatched_classes(table):
 def _games_outside(spec):
     """Games whose classes are mostly not in spec's table: deep ones,
     Fraction-shifted ones, and for depth 2 some of depth 3."""
-    classes = _class_games(_universe_entry(spec).context_table())
+    classes = _class_games(universe(spec).table)
     if spec == DEFAULT_UNIVERSE:
         return _deep_games() + [
             shift(g, Fraction(1, 3)) for g in classes[::11]
@@ -957,7 +958,7 @@ class TestMaskRecurrence:
 
     def test_verdicts_outside_the_table_keep_no_universe_masks(
             self, default_universe):
-        table = _universe_entry(DEFAULT_UNIVERSE).context_table()
+        table = universe(DEFAULT_UNIVERSE).table
         before = len(table.masks)
         rng, rows = random.Random(1616), {}
         for i in range(1, 201):
@@ -971,7 +972,7 @@ class TestMaskRecurrence:
         assert len(table.masks) == before
 
     def test_masks_outside_the_table_stay_bounded(self, tiny_universe):
-        table = _universe_entry(TINY).context_table()
+        table = universe(TINY).table
         greater_equal(tiny_universe[5], tiny_universe[40], TINY)
         masks, n = dict(table.masks), len(table)
         assert masks
@@ -1015,9 +1016,9 @@ class TestMaskRecurrence:
         extra = ContextTable(_extra_id_games())
         assert len(extra) == len(extra.first_of) + 1
         for table, contexts in [
-            (_universe_entry(DEFAULT_UNIVERSE).context_table(),
+            (universe(DEFAULT_UNIVERSE).table,
              universe(DEFAULT_UNIVERSE)),
-            (_universe_entry(DEPTH_TWO).context_table(), universe(DEPTH_TWO)),
+            (universe(DEPTH_TWO).table, universe(DEPTH_TWO)),
             (ContextTable([a, b]), [a, b]),
             (extra, _extra_id_games()),
         ]:
@@ -1030,8 +1031,8 @@ class TestMaskRecurrence:
         games = _extra_id_games()
         t = games[-1]
         spec = UniverseSpec(2, 2, (-1, 0, 1))  # too large to enumerate
-        entry = _Universe(games)
-        table = entry.context_table()
+        entry = _Games(games)
+        table = entry.table
         assert len(table) == len(table.first_of) + 1
         # the extra id is {1|1|-1}, built as a subterm of t, the last game
         extra = parse("{1|1|-1}")

@@ -14,7 +14,9 @@ from scoreplay import (
     render,
     universe,
 )
-from scoreplay.score import outcome_from_scores
+from scoreplay.order import UP_SETS
+from scoreplay.score import Outcome, outcome_from_scores
+from scoreplay.sums import zero
 from scoreplay.verify import (
     SUITES,
     TemplateSweep,
@@ -220,6 +222,54 @@ def test_duality_rows_flag_the_scalar_contexts(monkeypatch):
     # and the row comparison is live: a <= test that always hits breaks it
     monkeypatch.setattr(order, "_LE_TEST", lambda *scores: True)
     assert not verify_duality(TINY, max_pairs=10**9).passed
+
+
+def _refutes_itself(find):
+    def broken(g, h, contexts, ev=None):
+        return (g, UP_SETS[0]) if g is h else find(g, h, contexts)
+    return broken
+
+
+def _seed_one_gives_seven(canonicalize):
+    def broken(g, spec, mode, order_seed=None):
+        form, trace = canonicalize(g, spec, mode, order_seed=order_seed)
+        return (leaf(7) if order_seed == 1 else form), trace
+    return broken
+
+
+def _sr_plus_one(extend_rows):
+    def broken(g, table, rows):
+        sl, sr = extend_rows(g, table, rows)
+        return sl, [v + 1 for v in sr]
+    return broken
+
+
+@pytest.mark.parametrize("suite, spec, kwargs, name, defect, detail", [
+    ("partition", TINY, {}, "outcome",
+     lambda real: lambda g: Outcome.T, "violations=42"),
+    ("identity", TINY, {}, "distinguishing_context",
+     lambda real: lambda g: zero(), "failures=45"),
+    ("partial-order", TINY, {}, "find_ge_refutation",
+     _refutes_itself, "violations=48"),
+    ("confluence", TINY, {"n_games": 50}, "canonicalize",
+     _seed_one_gives_seven, "divergent=50"),
+    ("cong-probe", SMALL, {}, "equivalent",
+     lambda real: lambda g, h: g is h, "violations=27"),
+    ("outcome-template", TINY, {"bound": 1}, "_extend_rows",
+     _sr_plus_one, "violations=6561"),
+])
+def test_each_suite_fails_on_a_defect(
+        monkeypatch, suite, spec, kwargs, name, defect, detail):
+    # a check that passes on the engine fails with the defect patched in
+    passing = {c.name for c in run_suite(suite, spec, **kwargs).checks if c.passed}
+    real = getattr(scoreplay.verify, name)
+    monkeypatch.setattr(scoreplay.verify, name, defect(real))
+    res = run_suite(suite, spec, **kwargs)
+    assert not res.passed
+    assert any(
+        c.name in passing and not c.passed and c.details.endswith(detail)
+        for c in res.checks
+    )
 
 
 def test_run_suite_dispatch():

@@ -205,9 +205,10 @@ def reduce_step(
     return _apply(g, step), step
 
 
-#: SOUND forms of the terms with no step below their root: a step-free
-#: term maps to itself, any other to its unseeded form followed by its
-#: root steps (path ()).  SOUND verdicts read only the terms
+#: SOUND canonical forms of the subterms reduced so far.  A step-free
+#: term (no step anywhere in its walk) maps to itself; any other term an
+#: unseeded call reduced as an option maps to ``(form, steps)``, with
+#: step paths relative to that term.  SOUND verdicts read only the terms
 #: (``_sound_ge``), so an entry holds for every spec.
 _sound_forms: dict[GameTerm, object] = _cache()
 
@@ -230,68 +231,62 @@ def canonicalize(
     Right, each finished before its parent reduces, so depth costs no
     Python recursion.
 
-    A subterm with no step below its root is reduced once and
-    remembered, SOUND ones in ``_sound_forms`` across calls, CONJECTURAL
-    ones (whose verdicts depend on ``spec``) for this call, and the walk
-    never enters a remembered one.  A seeded call draws only where a
-    position has a candidate, so it redraws a remembered root's steps,
-    skips a step-free subterm, and remembers only those.  A subterm with
-    steps below is walked at each of its positions, which the trace lists
-    one by one anyway.  ``evaluator`` is not read.
+    One memo rule: a subterm's form is remembered with the steps below
+    and at it, SOUND ones in ``_sound_forms`` across calls, CONJECTURAL
+    ones (whose verdicts depend on ``spec``) for this call.  Every call
+    reuses a step-free entry.  An unseeded call reuses any entry,
+    re-addressing its steps under the current position, so it reduces
+    each distinct subterm once; a seeded call walks into an entry with
+    steps, because it draws at every position that has a candidate.  A
+    step-free subterm is always remembered, any other only by an
+    unseeded call and only as an option, not as the call's root.
+    ``evaluator`` is not read.
     """
     rng = random.Random(order_seed) if order_seed is not None else None
     memo = _sound_forms if mode is Mode.SOUND else {}
-    trace = ReductionTrace()
-    steps = trace.steps
-    # (position's term, its path, the canonical forms of its options so
-    # far, its memo entry)
-    stack: list[tuple[GameTerm, NodePath, list[GameTerm], object]] = [
-        (g, (), [], memo.get(g))
-    ]
+    entry = memo.get(g)
+    if entry is g or entry and not rng:
+        form, steps = (g, ()) if entry is g else entry
+        return form, ReductionTrace(list(steps))
+    # (position's term, its path from its parent, the canonical forms of
+    # its options so far, the steps below it with paths relative to it)
+    stack: list[
+        tuple[GameTerm, NodePath, list[GameTerm], list[ReductionStep]]
+    ] = [(g, (), [], [])]
     while True:
-        t, path, done, entry = stack[-1]
+        t, at, done, below = stack[-1]
         n, nl = len(done), len(t.left)
-        if entry is None and n < nl + len(t.right):
+        if n < nl + len(t.right):
             o = t.left[n] if n < nl else t.right[n - nl]
-            sub = memo.get(o)
-            if sub is o:
+            at = ((Side.LEFT, n) if n < nl else (Side.RIGHT, n - nl),)
+            entry = memo.get(o)
+            if entry is o:
                 done.append(o)
                 continue
-            at = (Side.LEFT, n) if n < nl else (Side.RIGHT, n - nl)
-            stack.append((o, path + (at,), [], sub))
-            continue
-        stack.pop()
-        if entry is t:
-            node = t
-        elif entry is not None and rng is None:
-            node = entry[0]
-            steps += [_at(s, path) for s in entry[1:]]
+            if entry is None or rng:
+                stack.append((o, at, [], []))
+                continue
+            node, steps = entry
         else:
-            # t if remembered (no step below) or, by interning, unchanged
-            node = t if entry else game(done[:nl], t.score, done[nl:])
-            unchanged = node is t
-            root = []
-            while True:
-                hit = reduce_step(node, spec, mode, rng)
-                if hit is None:
-                    break
+            stack.pop()
+            # t itself, by interning, when no option changed
+            node = game(done[:nl], t.score, done[nl:])
+            while (hit := reduce_step(node, spec, mode, rng)) is not None:
                 node, step = hit
-                root.append(step)
-            steps += [_at(s, path) for s in root]
-            if unchanged and (rng is None or not root):
-                memo[t] = (node, *root) if root else t
-        if not stack:
-            return node, trace
+                below.append(step)
+            if not below or stack and not rng:
+                memo[t] = (node, tuple(below)) if below else t
+            if not stack:
+                return node, ReductionTrace(below)
+            steps = below
+        # node is the form of the option at path ``at`` in stack[-1]'s term
         stack[-1][2].append(node)
-
-
-def _at(step: ReductionStep, path: NodePath) -> ReductionStep:
-    """A root step (path ()) re-addressed to the position at path."""
-    if not path:
-        return step
-    return ReductionStep(
-        step.kind, step.side, step.removed, step.witness, step.justification, path
-    )
+        stack[-1][3].extend(
+            ReductionStep(
+                s.kind, s.side, s.removed, s.witness, s.justification, at + s.path
+            )
+            for s in steps
+        )
 
 
 def is_canonical(

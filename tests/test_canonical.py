@@ -310,6 +310,35 @@ class TestMemoizedWalk:
         calls.clear()
         assert is_canonical(chain, TINY)
         assert calls == []  # is_canonical only looks for candidates
+        # Steps below shared subterms: {2,1|0|.} ten levels under {c|0|c}
+        # has 13 distinct subterms and 1,024 positions of its SOUND step.
+        c = parse("{2,1|0|.}")
+        for _ in range(10):
+            c = game([c], 0, [c])
+        spec = UniverseSpec(0, 0, (0,))
+        # one call per distinct subterm and one per step applied: 13 + 1,
+        # and 13 + 10 when CONJECTURAL mode also reverses nine levels
+        for mode, want_calls in ((Mode.SOUND, 14), (Mode.CONJECTURAL, 23)):
+            for seed in (None, 2):
+                want, ref = _tree_canonicalize(c, spec, mode, seed)
+                clear_caches()
+                calls.clear()
+                form, trace = canonicalize(c, spec, mode, seed)
+                assert form is want and _fields(trace) == _fields(ref)
+                if seed is None:
+                    assert len(calls) == want_calls
+                # a root with steps is never kept; its option is, by an
+                # unseeded SOUND call
+                kept = c.left[0] in canonical._sound_forms
+                assert c not in canonical._sound_forms
+                assert kept is (mode is Mode.SOUND and seed is None)
+            assert len(trace.steps) == (1024 if mode is Mode.SOUND else 1535)
+        # a later unseeded call reuses a kept entry at its root
+        canonicalize(c, spec)
+        calls.clear()
+        want, ref = _tree_canonicalize(c.left[0], spec)
+        form, trace = canonicalize(c.left[0], spec)
+        assert calls == [] and form is want and _fields(trace) == _fields(ref)
 
     @pytest.mark.parametrize("seed", [4, 9])
     def test_seeded_calls_match_the_tree_walker_cold_and_warm(self, seed):

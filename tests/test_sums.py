@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from scoreplay import (
     SumEvaluator,
     add,
-    clear_caches,
     distinguishing_context,
     final_scores,
     final_scores_of_sum,
@@ -61,7 +60,7 @@ class TestAdd:
         for text, pairs in (("{{1|0|.},2|0|-1}", 20), ("{{1|0|.}|0|{1|0|.}}", 12)):
             g = parse(text)
             assert len(_subterms(g)) * len(_subterms(h)) == pairs
-            clear_caches()
+            sums._add_cache.clear()
             s = add(g, h)
             assert len(sums._add_cache) == pairs
             # the flipped sum computes its own pairs and interns to s

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
 from operator import attrgetter
 from typing import Container, Iterable, Iterator, Union
 
@@ -90,18 +91,22 @@ def _score_key(s: Score) -> tuple[Score, int]:
 _REPR_MAX_NODES = 1_000
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False, slots=True)
 class GameTerm:
     """An immutable scoring-game term ``{left | score | right}``.
 
     ``left`` and ``right`` are deduplicated tuples in term order.  ``okey``
-    is the cached total-order key (see :func:`term_order_key`); ``depth``
-    and ``node_count`` are the usual tree measures (a leaf has depth 0 and
-    one node); ``sl`` and ``sr`` are the final scores.  Equality and
-    hashing are by object identity, which interning makes coincide with
-    structural identity, and slots leave a term no ``__dict__``.  So a
-    term unpickles through ``game``, as the interned term, and a copy of
-    it is itself.
+    is the flat order key, which is also the term's intern key (see
+    :func:`term_order_key`); ``depth`` and ``node_count`` are the usual
+    tree measures (a leaf has depth 0 and one node); ``sl`` and ``sr`` are
+    the final scores.  Equality and hashing are by object identity, which
+    interning makes coincide with structural identity, and slots leave a
+    term no ``__dict__``.  So a term unpickles through ``game``, as the
+    interned term, and a copy of it is itself.  Terms are ordered by
+    ``<``, ``<=``, ``>`` and ``>=`` in term order, which is how two keys
+    compare the first options in which they differ; as equality is
+    identity, ``a <= b`` means ``a < b or a is b``.
     """
 
     left: tuple["GameTerm", ...]
@@ -121,6 +126,13 @@ class GameTerm:
     def __reduce__(self):
         return game, (self.left, self.score, self.right)
 
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, GameTerm):
+            return NotImplemented
+        if self.depth <= _SHALLOW or other.depth <= _SHALLOW:
+            return self.okey < other.okey  # _less's answer, one frame less
+        return _less(self, other)
+
     def __copy__(self) -> "GameTerm":
         return self
 
@@ -132,6 +144,32 @@ class GameTerm:
         return not self.left and not self.right
 
 
+#: Depth past which ``_less`` follows a tie into options in a loop.
+_SHALLOW = 32
+
+
+def _less(a: GameTerm, b: GameTerm) -> bool:
+    """True iff ``a`` comes before ``b`` in term order.
+
+    Two keys that tie on their first three fields are decided by their
+    first differing pair of options, as tuple comparison finds it.  While
+    both terms are deeper than ``_SHALLOW``, that pair is found here and
+    followed in a loop, so depth costs no recursion; below it the keys
+    compare as tuples, recursing at most ``_SHALLOW`` levels.
+    """
+    while a.depth > _SHALLOW and b.depth > _SHALLOW:
+        ka, kb = a.okey, b.okey
+        if ka[:3] != kb[:3]:
+            break
+        x, y = (ka[3], kb[3]) if ka[3] != kb[3] else (ka[4], kb[4])
+        pair = next(((p, q) for p, q in zip(x, y) if p is not q), None)
+        if pair is None:  # one option tuple extends the other, or a is b
+            return len(x) < len(y)
+        a, b = pair
+    return a.okey < b.okey
+
+
+#: Every term by its ``okey``, which determines the term.
 _interned: dict[tuple, GameTerm] = {}
 
 #: Every memo that ``clear_caches`` empties, each registered by ``_cache``.
@@ -157,6 +195,10 @@ def _canon_options(options: Iterable[GameTerm]) -> tuple[GameTerm, ...]:
 
 
 _okey = attrgetter("okey")
+_depth = attrgetter("depth")
+_nodes = attrgetter("node_count")
+_sl = attrgetter("sl")
+_sr = attrgetter("sr")
 
 
 def game(
@@ -168,23 +210,15 @@ def game(
     lt = _canon_options(left)
     s = as_score(score)
     rt = _canon_options(right)
-    key = (lt, s, rt)
-    term = _interned.get(key)
+    nodes = 1 + sum(map(_nodes, lt)) + sum(map(_nodes, rt))
+    okey = (nodes, abs(s), s < 0, lt, rt)
+    term = _interned.get(okey)
     if term is None:
-        opts = lt + rt
-        depth = 1 + max((o.depth for o in opts), default=-1)
-        nodes = 1 + sum(o.node_count for o in opts)
-        okey = (
-            nodes,
-            abs(s),
-            s < 0,
-            tuple([o.okey for o in lt]),
-            tuple([o.okey for o in rt]),
-        )
-        sl = max([o.sr for o in lt]) if lt else s
-        sr = min([o.sl for o in rt]) if rt else s
+        depth = 1 + max(map(_depth, lt + rt), default=-1)
+        sl = max(map(_sr, lt)) if lt else s
+        sr = min(map(_sl, rt)) if rt else s
         term = GameTerm(lt, s, rt, depth, nodes, okey, sl, sr)
-        _interned[key] = term
+        _interned[okey] = term
     return term
 
 
@@ -196,10 +230,12 @@ def leaf(score: Score) -> GameTerm:
 def term_order_key(g: GameTerm) -> tuple:
     """Total-order key: equal keys iff identical terms.
 
-    One flat tuple ``(node count, |score|, score < 0, left option keys,
-    right option keys)``: by node count, then score (simplest first),
-    then recursively by options.  Used to store option sets canonically
-    and to pick deterministic minimal witnesses.
+    One flat tuple ``(node count, |score|, score < 0, left, right)``, whose
+    last two fields are the term's own option tuples: by node count, then
+    score (simplest first), then by options, which compare in the same
+    order as terms (``GameTerm`` is orderable).  It is also the term's
+    intern key.  Used to store option sets canonically and to pick
+    deterministic minimal witnesses.
     """
     return g.okey
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .core import (
     GameTerm, Score, as_score, equivalent, game, leaf, render, _cache, _esig,
-    _postorder, _score_key,
+    _okey, _postorder, _score_key,
 )
 from .score import _SET_TESTS, OutcomeSet
 from .sums import SumEvaluator, is_numeric
@@ -351,7 +351,7 @@ def universe(spec: UniverseSpec) -> tuple[GameTerm, ...]:
                 for s in spec.scores
                 for rt in option_sets
             ]
-        games = _Games(sorted(pool, key=lambda t: t.okey))
+        games = _Games(sorted(pool, key=_okey))
         _universe_cache[spec] = games
     return games
 

@@ -49,9 +49,9 @@ class TestEval:
         assert code == 2
 
 
-def _nested(depth: int) -> str:
+def _nested(depth: int, score: str = "1") -> str:
     """A term whose braces nest ``depth`` deep: {{...{1|0|.}...|0|.}|0|.}."""
-    return "{" * depth + "1" + "|0|.}" * depth
+    return "{" * depth + score + "|0|.}" * depth
 
 
 class TestDeepInput:
@@ -78,6 +78,21 @@ class TestDeepInput:
                                 "--format", fmt)
             assert code == 0
             assert len(out.splitlines()) == 3
+
+    def test_sum_of_deep_ties_exits_2_without_a_traceback(self):
+        # The two Left options tie on every field down 198 levels to their
+        # leaves, and so do the sum's components; comparing them must not
+        # recurse once per level.  The sum is too large to print.
+        left = "{" + _nested(198, "1") + "," + _nested(198, "2") + "|0|.}"
+        argv = ["sum", left, _nested(199, "3")]
+        done = subprocess.run(
+            [sys.executable, "-m", "scoreplay", *argv],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "nodes; refusing to print more than" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestAlgebraCommands:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import operator
 import pickle
 import time
 from collections import Counter
@@ -28,6 +29,7 @@ from scoreplay import (
     vertices,
 )
 
+from scoreplay import core
 from scoreplay.core import _postorder, _walk
 
 from conftest import terms
@@ -263,6 +265,102 @@ class TestOrderKey:
     def test_zero_sorts_before_signed_leaves(self):
         order = sorted([leaf(-1), leaf(1), leaf(0)], key=term_order_key)
         assert order == [leaf(0), leaf(1), leaf(-1)]
+
+    def test_default_universe_is_in_reference_order(self, default_universe):
+        games = list(default_universe)
+        assert games == sorted(games, key=_reference_key)
+        assert sorted(reversed(games), key=term_order_key) == games
+
+    def test_sample_games_and_sums_sort_as_the_reference(self):
+        from scoreplay import add
+        from scoreplay.verify import sample_confluence_games
+
+        games = sample_confluence_games(2000, seed=3)
+        sums = [add(g, h) for g, h in zip(games, games[1:])]
+        for pool in (games, sums):
+            assert sorted(pool, key=term_order_key) == sorted(
+                pool, key=_reference_key)
+
+    def test_comparisons_agree_with_the_reference(self, default_universe):
+        from scoreplay import add
+        from scoreplay.verify import sample_confluence_games
+
+        def lift(g):
+            # 40 levels, past core._SHALLOW, alternately as the one Left
+            # and the one Right option beside a zero.
+            for i in range(40):
+                left, right = ([g], [leaf(0)]) if i % 2 else ([leaf(0)], [g])
+                g = game(left, 0, right)
+            return g
+
+        games = sample_confluence_games(300, seed=3)
+        deep = lift(leaf(0))
+        pool = sorted(
+            {*games, *(add(g, h) for g, h in zip(games, games[1:])),
+             *default_universe[::7], *map(lift, games[:60]),
+             # tie on the first three fields, Left options (1,) vs (1, deep)
+             game([leaf(1)], 0, [deep]), game([leaf(1), deep], 0, [])},
+            key=_reference_key,
+        )
+        # Neighbours in order mostly tie on their first three fields and
+        # are told apart by options; the reversed pairs and a stride
+        # through the pool check the other answers.
+        pairs = [*zip(pool, pool[1:]), *zip(pool[1:], pool),
+                 *zip(pool, pool[::-13]), *((g, g) for g in pool[::11])]
+        option_ties = 0
+        for g, h in pairs:
+            kg, kh = term_order_key(g), term_order_key(h)
+            rg, rh = _reference_key(g), _reference_key(h)
+            option_ties += kg[:3] == kh[:3] and g is not h
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                assert op(kg, kh) == op(g, h) == op(rg, rh), (op, g, h)
+            assert (kg == kh) == (g is h)
+        assert option_ties > 100
+        with pytest.raises(TypeError):
+            leaf(0) < 0
+
+    def test_key_slots_are_the_option_tuples_and_the_intern_key(self):
+        from scoreplay import add
+
+        g = parse("{{1|0|.},2|0|-1}")
+        for t in (
+            g,
+            parse("{1/2|-3|{.|1|0},2}"),
+            add(g, parse("{1|0|0}")),
+            negate(g),
+            pickle.loads(pickle.dumps(add(g, negate(g)))),
+            pickle.loads(pickle.dumps(leaf(Fraction(-3, 2)))),
+        ):
+            assert t.okey[3] is t.left
+            assert t.okey[4] is t.right
+            assert core._interned[t.okey] is t
+
+    def test_deep_ties_compare_without_recursion(self):
+        # Two chains that differ only at their bottom leaves tie on every
+        # field down 3,000 levels, far past the recursion limit.
+        def chain(x):
+            c = leaf(x)
+            for _ in range(3000):
+                c = game([c], 0, [])
+            return c
+
+        a, b = chain(1), chain(2)
+        ka, kb = term_order_key(a), term_order_key(b)
+        assert a < b and a <= b and b > a and b >= a
+        assert not (b < a or b <= a or a > b or a >= b)
+        assert ka < kb and ka <= kb and kb > ka and kb >= ka
+        assert sorted([b, a]) == sorted([b, a], key=term_order_key) == [a, b]
+        assert game([b, a], 0, []).left == (a, b)
+        assert game([b, a], 0, []) is game([a, b], 0, [])
+
+
+def _reference_key(g):
+    """The order key spelled out recursively, options by their own keys."""
+    return (
+        g.node_count, abs(g.score), g.score < 0,
+        tuple(_reference_key(o) for o in g.left),
+        tuple(_reference_key(o) for o in g.right),
+    )
 
 
 def test_max_abs_score():

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .canonical import Mode, canonicalize
@@ -85,6 +86,12 @@ def _flag_or_env(value, name: str, fallback):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser,
+                              dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="scoreplay",
         description="Exact engine for scoring-play combinatorial games.",
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=sorted(SUITES))
     verify.add_argument("--grid", type=int, default=3,
                         help="half-width of the outcome-template grid")
-    return parser
+    return parser, sub.choices
 
 
 def _config(args: argparse.Namespace, out=None) -> _Run:
@@ -129,6 +136,15 @@ def _config(args: argparse.Namespace, out=None) -> _Run:
     except ValueError:
         raise CliError("SCOREPLAY_DEPTH and SCOREPLAY_WIDTH must be integers") from None
     scores = _flag_or_env(args.scores, "SCOREPLAY_SCORES", d.scores)
+    return _Run(_spec(depth, width, scores), Mode(args.mode), args.format, out)
+
+
+@lru_cache(maxsize=16)
+def _spec(depth: int, width: int, scores) -> UniverseSpec:
+    """The checked universe of resolved bounds, ``scores`` a tuple or the
+    comma-separated text of a flag or variable.  Each distinct one is
+    parsed, normalized and size-checked once per process; an error is
+    raised afresh on every call, since lru_cache keeps no exception."""
     if isinstance(scores, str):
         try:
             scores = tuple(parse_score(s) for s in scores.split(","))
@@ -145,7 +161,7 @@ def _config(args: argparse.Namespace, out=None) -> _Run:
             f"context universe {spec.describe()} has more than "
             f"{UNIVERSE_SIZE_LIMIT} games; pick smaller bounds"
         )
-    return _Run(spec, Mode(args.mode), args.format, out)
+    return spec
 
 
 def _parse_expr(text: str) -> GameTerm:
@@ -319,14 +335,31 @@ _COMMANDS = {
 
 
 _parser: Optional[argparse.ArgumentParser] = None
+_command_parsers: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # The top-level parser would hand all of argv[1:] to a known command's
+    # parser and report what that leaves over, so a known command goes to
+    # its own parser at once; the top-level parser is left with help and
+    # a missing or unknown command.
+    sub = _command_parsers.get(argv[0]) if argv else None
+    if sub is None:
+        return _parser.parse_args(argv)
+    args, extras = sub.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        _parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
-    global _parser
+    global _parser, _command_parsers
     if _parser is None:  # built on first use, so importing stays cheap
-        _parser = build_parser()
+        _parser, _command_parsers = _build_parsers()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

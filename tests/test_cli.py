@@ -174,8 +174,10 @@ class TestEnum:
         assert rec["structured"] == {"left": [], "score": "1/2", "right": []}
 
     def test_oversized_universe_is_a_usage_error(self):
-        code, _ = run_cli("enum", "--depth", "2", "--width", "2")
-        assert code == 2
+        # twice: a refused spec is refused again, not remembered as valid
+        for _ in range(2):
+            code, _ = run_cli("enum", "--depth", "2", "--width", "2")
+            assert code == 2
 
 
 class TestTf:
@@ -350,6 +352,10 @@ class TestDeterminismAndConfig:
         monkeypatch.setenv("SCOREPLAY_WIDTH", "0")
         monkeypatch.setenv("SCOREPLAY_SCORES", "2")
         assert run_cli("enum") == (0, "2\n")
+        # the same argv with the spec memo warm still reads the variable
+        assert run_cli("enum") == (0, "2\n")
+        monkeypatch.setenv("SCOREPLAY_SCORES", "3")
+        assert run_cli("enum") == (0, "3\n")
         monkeypatch.setenv("SCOREPLAY_DEPTH", "deep")
         assert run_cli("enum")[0] == 2
         assert cli_mod._parser is parser
@@ -369,8 +375,10 @@ class TestDeterminismAndConfig:
         assert cli_mod._config(args).spec == DEFAULT_UNIVERSE
 
     def test_bad_scores_flag(self):
-        code, _ = run_cli("enum", "--scores", "0,zebra")
-        assert code == 2
+        # twice: an error is raised afresh, not remembered
+        for _ in range(2):
+            code, _ = run_cli("enum", "--scores", "0,zebra")
+            assert code == 2
 
     @pytest.mark.parametrize("bounds, code", [
         (["--depth", "8"], 2),
@@ -441,6 +449,38 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
     assert main(argv) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command], text
+
+
+# sha256 of "exit code\0stdout\0stderr" of main at 80 columns on argv that
+# a command's own parser could answer differently from the top-level
+# parser: no command, an unknown one, leftover or missing arguments, an
+# option before the command, "--", an abbreviation, help and a missing
+# value.  Pinned so that how main dispatches an argv leaves all three
+# byte-identical; an unrecognized argument keeps the top-level usage line.
+DISPATCH_SHA256 = {
+    (): "a28e2c9493e87df2f1b5f46d143a7e8fe4a5e2ea54338edd38ca2953be6112dc",
+    ("bogus",): "3a222e478f8bc4b1cd2236d1fb858b2a78f012109b8ac0296bfff50d3c4948f4",
+    ("cmp", "0", "1", "--bogus"): "f26df43b4cb5132e4f02c71e6bc605abd5277b6415216248453a6103b32ffde8",
+    ("cmp", "--", "0", "-1"): "8ff3ca2e719a404dcfbf0d950086dda3dac3a1ee97b24cc5fe91f5c4f27436d3",
+    ("cmp", "0"): "2e43a307a4827e1265ae9fc1b2d80713f8ff77431b832c124a727061d8503fc3",
+    ("cmp", "0", "1", "2"): "d992792d89ac434df701d9b3313da395b58ff2d02ed0c16fc2668f1dc8747701",
+    ("--depth", "1", "cmp", "0", "1"): "c7ed2c2292cff70d2f79b4b0f25b5c5dfeaf73898be3ebeba990c6a931e47714",
+    ("cmp", "0", "1", "--dep", "0"): "99f47ecfc8754483a73391ec32a1c8df494927315a9480c02d39501fa6d1ffbb",
+    ("cmp", "0", "1", "-h"): "789811b371d15b4feba50d6186af50d574eff3c27294fd1e4f8a92c32e84c77b",
+    ("cmp", "0", "1", "--format"): "3bb6ae1e769e9a6695fc6c473ba414b77eb41f0b5b67194fc6af642fcaeafb9c",
+    ("verify", "bogus"): "5a62f5d7a8de34eb4eb7123a034c2c1d9387ca12b0c6c698a5e1898f53c0dc55",
+}
+
+
+@pytest.mark.parametrize("argv", list(DISPATCH_SHA256), ids=" ".join)
+def test_dispatch_output_is_unchanged(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("SCOREPLAY_DEPTH", "SCOREPLAY_WIDTH", "SCOREPLAY_SCORES"):
+        monkeypatch.delenv(name, raising=False)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    text = f"{code}\0{captured.out}\0{captured.err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == DISPATCH_SHA256[argv], text
 
 
 # Fixed cmp pairs covering every Proved rule, Refuted with each witness

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .canonical import Mode, canonicalize
 from .core import GameTerm, negate, render
@@ -57,6 +57,11 @@ class CliError(Exception):
     """Bad input or configuration; maps to exit code 2."""
 
 
+#: One compact JSON encoder for every record; ``json.dumps`` with
+#: ``separators`` would build a new one per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class _Run:
     """One command's universe, mode, format and output stream.  Conjectural
@@ -76,7 +81,7 @@ class _Run:
         if self.fmt == "jsonl":
             if self.mode is Mode.CONJECTURAL:
                 fields["conjectural"] = True
-            print(json.dumps(fields, separators=(",", ":")), file=self.out)
+            print(_encode(fields), file=self.out)
 
 
 def _flag_or_env(value, name: str, fallback):
@@ -96,35 +101,12 @@ def _build_parsers() -> tuple[argparse.ArgumentParser,
         prog="scoreplay",
         description="Exact engine for scoring-play combinatorial games.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    # Unset universe flags stay None; _config falls back to the
-    # SCOREPLAY_* environment variables and then to DEFAULT_UNIVERSE.
-    common.add_argument("--depth", type=int,
-                        help="max depth of context universe games")
-    common.add_argument("--width", type=int,
-                        help="max option-set size of context universe games")
-    common.add_argument(
-        "--scores",
-        help="comma-separated rational scores of the context universe",
-    )
-    common.add_argument(
-        "--mode", choices=[m.value for m in Mode], default=Mode.SOUND.value,
-        help="sound: only proved comparisons reduce; conjectural: unrefuted ones too",
-    )
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for reduction order / sampling")
-    common.add_argument("--format", choices=["text", "jsonl"], default="text",
-                        help="human-readable text or one JSON record per line")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, positionals) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_line)
-        for arg in positionals:
-            p.add_argument(arg)
-    verify = sub.choices["verify"]
-    verify.add_argument("suite", choices=sorted(SUITES))
-    verify.add_argument("--grid", type=int, default=3,
-                        help="half-width of the outcome-template grid")
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for arg in _ARGS[name]:
+            p.add_argument(arg.name, type=arg.type, choices=arg.choices,
+                           default=arg.default, help=arg.help)
     return parser, sub.choices
 
 
@@ -319,19 +301,133 @@ def cmd_verify(args, run: _Run) -> int:
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
-#: Each command's function, help line and plain positional arguments;
-#: build_parser adds the suite choices and ``--grid`` of ``verify``.
+#: Each command's function and help line.
 _COMMANDS = {
-    "eval": (cmd_eval, "final scores, outcome and base sets of a game", ("expr",)),
-    "sum": (cmd_sum, "long-rule disjunctive sum of two games", ("expr1", "expr2")),
-    "neg": (cmd_neg, "negation of a game", ("expr",)),
-    "cmp": (cmd_cmp, "compare two games: >=, <= and = verdicts", ("expr1", "expr2")),
-    "canon": (cmd_canon, "reduce a game to canonical form", ("expr",)),
-    "enum": (cmd_enum, "enumerate the context universe in term order", ()),
-    "tf": (cmd_tf, "compile a Toads-and-Frogs strip (T/F/B) and evaluate it",
-           ("position",)),
-    "verify": (cmd_verify, "run a theorem verification suite", ()),
+    "eval": (cmd_eval, "final scores, outcome and base sets of a game"),
+    "sum": (cmd_sum, "long-rule disjunctive sum of two games"),
+    "neg": (cmd_neg, "negation of a game"),
+    "cmp": (cmd_cmp, "compare two games: >=, <= and = verdicts"),
+    "canon": (cmd_canon, "reduce a game to canonical form"),
+    "enum": (cmd_enum, "enumerate the context universe in term order"),
+    "tf": (cmd_tf, "compile a Toads-and-Frogs strip (T/F/B) and evaluate it"),
+    "verify": (cmd_verify, "run a theorem verification suite"),
 }
+
+
+class _Arg(NamedTuple):
+    """One argument: a ``--flag`` or a positional, and where it is taken."""
+
+    name: str
+    type: Optional[Callable] = None
+    choices: Optional[tuple] = None
+    default: object = None
+    help: Optional[str] = None
+    commands: tuple = tuple(_COMMANDS)
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-")
+
+
+#: Every argument of every command, in the order each command's parser
+#: adds them, which is the order its help lists them.  Unset universe
+#: flags stay None; _config falls back to the SCOREPLAY_* environment
+#: variables and then to DEFAULT_UNIVERSE.
+_ARG_TABLE = (
+    _Arg("--depth", int, help="max depth of context universe games"),
+    _Arg("--width", int, help="max option-set size of context universe games"),
+    _Arg("--scores",
+         help="comma-separated rational scores of the context universe"),
+    _Arg("--mode", choices=tuple(m.value for m in Mode), default=Mode.SOUND.value,
+         help="sound: only proved comparisons reduce; conjectural: unrefuted ones too"),
+    _Arg("--seed", int, default=0, help="seed for reduction order / sampling"),
+    _Arg("--format", choices=("text", "jsonl"), default="text",
+         help="human-readable text or one JSON record per line"),
+    _Arg("expr", commands=("eval", "neg", "canon")),
+    _Arg("expr1", commands=("sum", "cmp")),
+    _Arg("expr2", commands=("sum", "cmp")),
+    _Arg("position", commands=("tf",)),
+    _Arg("suite", choices=tuple(sorted(SUITES)), commands=("verify",)),
+    _Arg("--grid", int, default=3, help="half-width of the outcome-template grid",
+         commands=("verify",)),
+)
+
+#: Each command's arguments, in table order.
+_ARGS = {
+    name: tuple(a for a in _ARG_TABLE if name in a.commands) for name in _COMMANDS
+}
+
+#: Each command's flags by name, positionals in order, and the values of
+#: a Namespace before any argument is read.
+_PLAIN = {
+    name: (
+        {a.name: a for a in args if a.name.startswith("-")},
+        tuple(a for a in args if not a.name.startswith("-")),
+        {"command": name, **{a.dest: a.default for a in args}},
+    )
+    for name, args in _ARGS.items()
+}
+
+
+def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse gives for an argv of exact flags and plain
+    positionals, or None for argparse to read it.
+
+    A token starting with ``-`` must be one of the command's flags, as
+    ``--flag value`` or ``--flag=value``; a spaced value must be there and
+    not start with ``-``; every value must convert and be one of its
+    choices, and there must be as many positionals as the command takes.
+    Anything else (help, ``--``, an abbreviation, an unknown flag, a
+    negative number as a game, a bad value) is left to argparse, which
+    alone prints help, usage lines and errors.  A repeated flag keeps its
+    last value, as in argparse.
+    """
+    plain = _PLAIN.get(argv[0]) if argv else None
+    if plain is None:
+        return None
+    flags, positionals, defaults = plain
+    values = dict(defaults)
+    found = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            found.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        arg = flags.get(name)
+        if arg is None:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as a flag
+            if value[:1] == "-":
+                return None
+        value = _value(arg, value)
+        if value is None:
+            return None
+        values[arg.dest] = value
+    if len(found) != len(positionals):
+        return None
+    for arg, text in zip(positionals, found):
+        value = _value(arg, text)
+        if value is None:
+            return None
+        values[arg.dest] = value
+    return argparse.Namespace(**values)
+
+
+def _value(arg: _Arg, text: str):
+    """``text`` read as ``arg``'s value, or None where argparse refuses it
+    or, before Python 3.13, drops it, as it does a ``--flag=--``."""
+    if text == "--":
+        return None
+    if arg.type is not None:
+        try:
+            text = arg.type(text)
+        except ValueError:
+            return None
+    if arg.choices is not None and text not in arg.choices:
+        return None
+    return text
 
 
 _parser: Optional[argparse.ArgumentParser] = None
@@ -339,6 +435,9 @@ _command_parsers: dict[str, argparse.ArgumentParser] = {}
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
+    args = _plain_args(argv)
+    if args is not None:
+        return args
     # The top-level parser would hand all of argv[1:] to a known command's
     # parser and report what that leaves over, so a known command goes to
     # its own parser at once; the top-level parser is left with help and

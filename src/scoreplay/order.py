@@ -339,21 +339,39 @@ def universe(spec: UniverseSpec) -> tuple[GameTerm, ...]:
                 f"universe {spec.describe()} has more than "
                 f"{UNIVERSE_SIZE_LIMIT} games; refusing to enumerate it"
             )
-        pool: list[GameTerm] = [leaf(s) for s in spec.scores]
+        pool = sorted((leaf(s) for s in spec.scores), key=_okey)
         # At width 0 every level is the leaves again.
         for _ in range(spec.max_depth if spec.max_width else 0):
             option_sets: list[tuple[GameTerm, ...]] = [()]
             for k in range(1, min(spec.max_width, len(pool)) + 1):
                 option_sets.extend(combinations(pool, k))
-            pool = [
+            pool = _sorted_level([
                 game(lt, s, rt)
                 for lt in option_sets
                 for s in spec.scores
                 for rt in option_sets
-            ]
-        games = _Games(sorted(pool, key=_okey))
+            ], pool)
+        games = _Games(pool)
         _universe_cache[spec] = games
     return games
+
+
+def _sorted_level(pool: list[GameTerm], below: list[GameTerm]) -> list[GameTerm]:
+    """``pool`` in term order, given ``below``, the level in term order that
+    holds every option of its games and no term twice.
+
+    Each key is ``okey`` with every option replaced by its index in
+    ``below``.  Two option tuples first differ where their indices first
+    differ, and there the indices compare as the options do, so the keys
+    sort in term order without a tie ever reaching ``GameTerm.__lt__``.
+    """
+    rank = {g: i for i, g in enumerate(below)}.__getitem__
+
+    def key(g: GameTerm) -> tuple:
+        nodes, size, negative, lt, rt = g.okey
+        return nodes, size, negative, tuple(map(rank, lt)), tuple(map(rank, rt))
+
+    return sorted(pool, key=key)
 
 
 def enumerate_universe(spec: UniverseSpec) -> Iterator[GameTerm]:

@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scoreplay import render
 from scoreplay.cli import main
 
 from conftest import notation_text
@@ -469,6 +472,12 @@ DISPATCH_SHA256 = {
     ("cmp", "0", "1", "-h"): "789811b371d15b4feba50d6186af50d574eff3c27294fd1e4f8a92c32e84c77b",
     ("cmp", "0", "1", "--format"): "3bb6ae1e769e9a6695fc6c473ba414b77eb41f0b5b67194fc6af642fcaeafb9c",
     ("verify", "bogus"): "5a62f5d7a8de34eb4eb7123a034c2c1d9387ca12b0c6c698a5e1898f53c0dc55",
+    # a repeated flag, which the plain path reads, and a negative game, a
+    # bad int and a bad int in the "=" form, which argparse reads
+    ("cmp", "0", "1", "--format=jsonl", "--format", "text"): "99f47ecfc8754483a73391ec32a1c8df494927315a9480c02d39501fa6d1ffbb",
+    ("cmp", "-1", "0"): "c781a99b2c35fdb81970e9f72ead1785284a7439089e761378a79fcb35d193ba",
+    ("eval", "0", "--seed", "x"): "c5698261a80f301b2b4cd4a5491e3a96a6839f238100c92b3a1f43f59cb009aa",
+    ("verify", "partition", "--grid=x"): "81dec31ceda6f41084f9c05b13b63f2689aeca1fe681c8cfea7c51eac5fe003b",
 }
 
 
@@ -481,6 +490,130 @@ def test_dispatch_output_is_unchanged(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     text = f"{code}\0{captured.out}\0{captured.err}"
     assert hashlib.sha256(text.encode()).hexdigest() == DISPATCH_SHA256[argv], text
+
+
+def _argparse_vars(argv):
+    """vars() of the Namespace that argparse, parsing from the top, gives."""
+    return vars(_reference_parser().parse_args(argv))
+
+
+@lru_cache(maxsize=None)
+def _reference_parser():
+    from scoreplay.cli import build_parser
+
+    return build_parser()
+
+
+#: Each flag, and "--dep" (an abbreviation), with values it takes; every
+#: flag is also given the values below, many of which it refuses.
+_FLAG_VALUES = {
+    "--depth": ["0", "1", "+2", " 1"], "--width": ["1", "2", "1_0"],
+    "--scores": ["0,1", "-2,0,1/2", "", "--"], "--mode": ["sound", "conjectural"],
+    "--seed": ["0", "7", "-3"], "--format": ["text", "jsonl"],
+    "--grid": ["3", "4"], "--dep": ["1"],
+}
+_VALUES = [
+    "0", "12", "x", "1.5", "", "-1", "-0.5", "-1/2", "sound", "csv",
+    "jsonl", "partition", "outcome-template", "{1|0|.}", "{.|-1|0}",
+]
+_positional = st.one_of(st.sampled_from(_VALUES), notation_text())
+_suite = st.sampled_from(["partition", "outcome-template", "bogus"])
+_flag_unit = st.sampled_from(
+    # the flags of every command thrice as often as "--grid" and "--dep"
+    [fv for fv in _FLAG_VALUES.items() if fv[0] not in ("--grid", "--dep")] * 3
+    + [("--grid", _FLAG_VALUES["--grid"]), ("--dep", _FLAG_VALUES["--dep"])]
+).flatmap(
+    lambda fv: st.builds(
+        lambda v, spaced: [fv[0], v] if spaced else [f"{fv[0]}={v}"],
+        st.sampled_from(fv[1] * 4 + _VALUES), st.booleans(),
+    )
+)
+_odd_token = st.sampled_from(["-h", "--help", "--", "-", "--bogus", "-1",
+                              "-0.5", "-1/2", "--format"])
+_POSITIONALS = {"eval": 1, "sum": 2, "neg": 1, "cmp": 2, "canon": 1,
+                "enum": 0, "tf": 1, "verify": 1}
+
+
+@st.composite
+def _argv(draw):
+    """A command, or not, then positionals, mostly as many as it takes,
+    and flags with spaced and "=" values, now and then an odd token, in
+    any order."""
+    command = draw(st.sampled_from([*_POSITIONALS, "bogus", "--depth", "-h"]))
+    n = _POSITIONALS.get(command, 1)
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(0, 3))
+    positional = _suite if command == "verify" else _positional
+    units = [[t] for t in draw(st.lists(positional, min_size=n, max_size=n))]
+    units += draw(st.lists(_flag_unit, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        units.append([draw(_odd_token)])
+    return [command, *(t for unit in draw(st.permutations(units)) for t in unit)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+def test_plain_args_match_argparse(argv):
+    from scoreplay.cli import _plain_args
+
+    args = _plain_args(argv)
+    if args is not None:
+        assert vars(args) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cmp", "0", "1", "--format=jsonl", "--format", "text"],
+    ["cmp", "--depth", "1", "{1|0|.}", "--seed=-3", "0"],
+    ["eval", "", "--scores=", "--mode", "conjectural"],
+    ["enum", "--width", " 2", "--depth=+1"],
+    ["verify", "outcome-template", "--grid", "4", "--format=jsonl"],
+    ["tf", "TBF"],
+])
+def test_plain_argv_takes_the_plain_path(argv):
+    from scoreplay.cli import _plain_args
+
+    args = _plain_args(argv)
+    assert args is not None
+    assert vars(args) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--depth", "1", "cmp", "0", "1"], ["cmp", "0", "1", "-h"],
+    ["cmp", "--", "0", "1"], ["cmp", "0", "1", "--dep", "0"],
+    ["cmp", "0", "1", "--dep=0"], ["cmp", "-1", "0"], ["eval", "-0.5"],
+    ["eval", "-1/2"], ["cmp", "0", "1", "--format"],
+    ["cmp", "0", "1", "--seed", "-1"], ["cmp", "0", "1", "--format", "csv"],
+    ["eval", "0", "--seed", "x"], ["verify", "partition", "--grid=x"],
+    ["verify", "bogus"], ["cmp", "0"], ["cmp", "0", "1", "2"],
+    ["cmp", "0", "1", "--grid", "3"], ["enum", "--scores=--"],
+])
+def test_other_argv_is_left_to_argparse(argv):
+    from scoreplay.cli import _plain_args
+
+    assert _plain_args(argv) is None
+
+
+def test_seeded_cmp_argv_takes_the_plain_path():
+    # The argv shape of the cmp-default benchmark workload: only a game
+    # written as a bare negative number is left to argparse.
+    from scoreplay import DEFAULT_UNIVERSE, universe
+    from scoreplay.cli import _plain_args
+
+    games = universe(DEFAULT_UNIVERSE)
+    flags = ["--depth", "1", "--width", "2",
+             "--scores=" + ",".join(map(str, DEFAULT_UNIVERSE.scores)),
+             "--format", "jsonl"]
+    rng = random.Random(3)
+    plain = 0
+    for _ in range(300):
+        argv = ["cmp", render(rng.choice(games)), render(rng.choice(games)), *flags]
+        args = _plain_args(argv)
+        negative = any(a.startswith("-") for a in argv[1:3])
+        assert (args is None) == negative, argv
+        if args is not None:
+            plain += 1
+            assert vars(args) == _argparse_vars(argv)
+    assert plain >= 290
 
 
 # Fixed cmp pairs covering every Proved rule, Refuted with each witness

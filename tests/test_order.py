@@ -56,7 +56,7 @@ from scoreplay.score import outcome_from_scores, set_holds
 from scoreplay.verify import sample_confluence_games
 
 import oracles
-from conftest import SMALL, TINY
+from conftest import DEEP, SMALL, TINY
 
 
 class TestUniverseSpec:
@@ -102,6 +102,18 @@ class TestEnumeration:
         keys = [term_order_key(g) for g in small_universe]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("spec", [
+        DEFAULT_UNIVERSE, UniverseSpec(1, 1, (1, 2)), DEEP,
+        UniverseSpec(2, 1, (0, 1, -1, 2, -2)), UniverseSpec(2, 2, (0,)),
+    ], ids=UniverseSpec.describe)
+    def test_levels_sort_in_term_order(self, spec, monkeypatch):
+        # Built afresh: each level is sorted on its options' ranks in the
+        # level below, which must give the order of term_order_key.
+        monkeypatch.delitem(_universe_cache, spec, raising=False)
+        games = universe(spec)
+        assert list(games) == sorted(games, key=term_order_key)
+        assert len(set(games)) == len(games) == universe_size(spec)
 
     def test_sizes_match_closed_form(self):
         for spec in (TINY, SMALL, UniverseSpec(1, 1, (0, 1))):

@@ -8,9 +8,6 @@ tool can fully decide, so reduction runs in one of two modes:
 * ``Mode.CONJECTURAL`` - comparisons the bounded search fails to refute
   also trigger; traces are flagged so results are never mistaken for
   proven ones.
-
-The ``evaluator`` parameters are not read: the order searches keep
-what they build in their context tables.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from .order import (
     greater_equal,
     less_equal,
 )
-from .sums import SumEvaluator
 
 __all__ = [
     "Mode",
@@ -107,10 +103,7 @@ def _as_good(
 
 
 def dominated_options(
-    g: GameTerm,
-    spec: UniverseSpec,
-    mode: Mode = Mode.SOUND,
-    evaluator: Optional[SumEvaluator] = None,
+    g: GameTerm, spec: UniverseSpec, mode: Mode = Mode.SOUND
 ) -> list[tuple[Side, GameTerm, GameTerm, Verdict]]:
     """All (side, dominated, dominating, verdict) at the root of g.
 
@@ -131,10 +124,7 @@ def dominated_options(
 
 
 def reversible_options(
-    g: GameTerm,
-    spec: UniverseSpec,
-    mode: Mode = Mode.SOUND,
-    evaluator: Optional[SumEvaluator] = None,
+    g: GameTerm, spec: UniverseSpec, mode: Mode = Mode.SOUND
 ) -> list[tuple[Side, GameTerm, GameTerm, Verdict]]:
     """All (side, option, response witness, verdict) at the root of g.
 
@@ -189,7 +179,6 @@ def reduce_step(
     spec: UniverseSpec,
     mode: Mode = Mode.SOUND,
     rng: Optional[random.Random] = None,
-    evaluator: Optional[SumEvaluator] = None,
 ) -> Optional[tuple[GameTerm, ReductionStep]]:
     """Apply one root-level reduction, or None when g is reduced.
 
@@ -218,7 +207,6 @@ def canonicalize(
     spec: UniverseSpec,
     mode: Mode = Mode.SOUND,
     order_seed: Optional[int] = None,
-    evaluator: Optional[SumEvaluator] = None,
 ) -> tuple[GameTerm, ReductionTrace]:
     """Reduce g bottom-up to a form with no dominated or reversible options.
 
@@ -240,7 +228,6 @@ def canonicalize(
     steps, because it draws at every position that has a candidate.  A
     step-free subterm is always remembered, any other only by an
     unseeded call and only as an option, not as the call's root.
-    ``evaluator`` is not read.
     """
     rng = random.Random(order_seed) if order_seed is not None else None
     memo = _sound_forms if mode is Mode.SOUND else {}
@@ -290,10 +277,7 @@ def canonicalize(
 
 
 def is_canonical(
-    g: GameTerm,
-    spec: UniverseSpec,
-    mode: Mode = Mode.SOUND,
-    evaluator: Optional[SumEvaluator] = None,
+    g: GameTerm, spec: UniverseSpec, mode: Mode = Mode.SOUND
 ) -> bool:
     """True iff no option anywhere in g is dominated or reversible.
 

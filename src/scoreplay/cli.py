@@ -91,12 +91,6 @@ def _flag_or_env(value, name: str, fallback):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser,
-                              dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="scoreplay",
         description="Exact engine for scoring-play combinatorial games.",
@@ -107,7 +101,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser,
         for arg in _ARGS[name]:
             p.add_argument(arg.name, type=arg.type, choices=arg.choices,
                            default=arg.default, help=arg.help)
-    return parser, sub.choices
+    return parser
 
 
 def _config(args: argparse.Namespace, out=None) -> _Run:
@@ -431,32 +425,25 @@ def _value(arg: _Arg, text: str):
 
 
 _parser: Optional[argparse.ArgumentParser] = None
-_command_parsers: dict[str, argparse.ArgumentParser] = {}
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     args = _plain_args(argv)
     if args is not None:
         return args
-    # The top-level parser would hand all of argv[1:] to a known command's
-    # parser and report what that leaves over, so a known command goes to
-    # its own parser at once; the top-level parser is left with help and
-    # a missing or unknown command.
-    sub = _command_parsers.get(argv[0]) if argv else None
-    if sub is None:
-        return _parser.parse_args(argv)
-    args, extras = sub.parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0])
-    )
-    if extras:
-        _parser.error("unrecognized arguments: " + " ".join(extras))
+    args = _parser.parse_args(argv)
+    # argparse reads a value as [] where it drops a ``--``: that of a
+    # ``--flag=--`` before Python 3.13, or a ``--`` after ``--``.
+    for arg in _ARGS[args.command]:
+        if getattr(args, arg.dest) == []:
+            _parser.error(f"argument {arg.name}: expected one argument")
     return args
 
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
-    global _parser, _command_parsers
+    global _parser
     if _parser is None:  # built on first use, so importing stays cheap
-        _parser, _command_parsers = _build_parsers()
+        _parser = build_parser()
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

@@ -4,9 +4,7 @@ The relations =, >= and <= quantify over *all* context games X, which no
 bounded tool can decide.  This module answers three-valued: Proved when a
 sound rule applies, Refuted with a concrete (context, outcome set)
 witness found in a finite enumerated universe, and otherwise Unrefuted
-with the universe bounds that were searched.  The ``evaluator`` and
-``ev`` parameters of the relations and searches are not read; only
-``ge_refutation_at`` and ``le_refutation_at`` evaluate pairs with theirs.
+with the universe bounds that were searched.
 """
 
 from __future__ import annotations
@@ -555,30 +553,21 @@ def _find(
 
 
 def find_ge_refutation(
-    g: GameTerm,
-    h: GameTerm,
-    contexts: Iterable[GameTerm],
-    ev: Optional[SumEvaluator] = None,
+    g: GameTerm, h: GameTerm, contexts: Iterable[GameTerm]
 ) -> Optional[tuple[GameTerm, OutcomeSet]]:
     """First context x and up-set O with h+x in O but g+x not, if any."""
     return _find(g, h, contexts, UP_SETS)
 
 
 def find_le_refutation(
-    g: GameTerm,
-    h: GameTerm,
-    contexts: Iterable[GameTerm],
-    ev: Optional[SumEvaluator] = None,
+    g: GameTerm, h: GameTerm, contexts: Iterable[GameTerm]
 ) -> Optional[tuple[GameTerm, OutcomeSet]]:
     """First context x and down-set O with h+x in O but g+x not, if any."""
     return _find(g, h, contexts, DOWN_SETS)
 
 
 def find_eq_refutation(
-    g: GameTerm,
-    h: GameTerm,
-    contexts: Iterable[GameTerm],
-    ev: Optional[SumEvaluator] = None,
+    g: GameTerm, h: GameTerm, contexts: Iterable[GameTerm]
 ) -> Optional[GameTerm]:
     """First context x where g+x and h+x have different outcomes, if any."""
     hit = _find(g, h, contexts, None)
@@ -586,27 +575,20 @@ def find_eq_refutation(
 
 
 def greater_equal(
-    g: GameTerm,
-    h: GameTerm,
-    spec: UniverseSpec = DEFAULT_UNIVERSE,
-    evaluator: Optional[SumEvaluator] = None,
+    g: GameTerm, h: GameTerm, spec: UniverseSpec = DEFAULT_UNIVERSE
 ) -> Verdict:
     """Three-valued g >= h.
 
     Refuted means some enumerated context x and up-set O have h+x in O but
     g+x outside it; the witness is minimal in term order and the verdict
     carries both for auditing.  The universe's table keeps the sign
-    masks it builds, those of classes outside it too (see
-    ``ContextTable``); ``evaluator`` is not read.
+    masks it builds, those of classes outside it too (see ``ContextTable``).
     """
     return _verdict(_sound_ge(g, h), g, h, spec, UP_SETS)
 
 
 def less_equal(
-    g: GameTerm,
-    h: GameTerm,
-    spec: UniverseSpec = DEFAULT_UNIVERSE,
-    evaluator: Optional[SumEvaluator] = None,
+    g: GameTerm, h: GameTerm, spec: UniverseSpec = DEFAULT_UNIVERSE
 ) -> Verdict:
     """Three-valued g <= h, over the four down-sets."""
     return _verdict(_sound_ge(h, g), g, h, spec, DOWN_SETS)
@@ -648,10 +630,7 @@ def _search(
 
 
 def equal(
-    g: GameTerm,
-    h: GameTerm,
-    spec: UniverseSpec = DEFAULT_UNIVERSE,
-    evaluator: Optional[SumEvaluator] = None,
+    g: GameTerm, h: GameTerm, spec: UniverseSpec = DEFAULT_UNIVERSE
 ) -> Verdict:
     """Three-valued g = h: same outcome in every context.
 
@@ -832,19 +811,16 @@ def _mask_refutation(
 
 
 def duality_check(
-    g: GameTerm,
-    h: GameTerm,
-    spec: UniverseSpec = DEFAULT_UNIVERSE,
-    evaluator: Optional[SumEvaluator] = None,
+    g: GameTerm, h: GameTerm, spec: UniverseSpec = DEFAULT_UNIVERSE
 ) -> bool:
     """Check that contexts refuting g >= h are exactly those refuting h <= g.
 
     Since every up-set is the complement of a down-set, the two searches
     must flag the same contexts.  This executes that theorem on the
     universe's table by comparing the whole score rows of g and h, built
-    for this call alone; ``evaluator`` is not read.  It stays off
-    the sign masks: those of <= are built as complements of those of >=,
-    so a check on them could never fail.
+    for this call alone.  It stays off the sign masks: those of <= are
+    built as complements of those of >=, so a check on them could never
+    fail.
     """
     return _rows_mirror(g, h, universe(spec).table, {})
 

@@ -148,11 +148,10 @@ class TestC05Duality:
         from scoreplay import duality_check
 
         rng = random.Random(50)
-        ev = SumEvaluator()
         for _ in range(60):
             g = rng.choice(default_universe)
             h = rng.choice(default_universe)
-            assert duality_check(g, h, DEFAULT, ev)
+            assert duality_check(g, h, DEFAULT)
 
 
 class TestC06PartialOrder:
@@ -161,13 +160,12 @@ class TestC06PartialOrder:
     ):
         from scoreplay.order import find_ge_refutation
 
-        ev = SumEvaluator()
         for g in tiny_universe:
-            assert find_ge_refutation(g, g, tiny_universe, ev) is None
+            assert find_ge_refutation(g, g, tiny_universe) is None
         rng = random.Random(60)
         sample = rng.sample(list(default_universe), 80)
         for g in sample:
-            assert find_ge_refutation(g, g, default_universe, ev) is None
+            assert find_ge_refutation(g, g, default_universe) is None
 
     def test_c06_transitivity_probe(self, default_universe):
         from scoreplay.order import _sound_ge, find_ge_refutation
@@ -176,12 +174,11 @@ class TestC06PartialOrder:
             (g for g in default_universe if g.is_leaf),
             key=lambda t: t.score,
         )
-        ev = SumEvaluator()
         checked = 0
         for i in range(len(leaves) - 2):
             j, h, g = leaves[i], leaves[i + 1], leaves[i + 2]
             assert _sound_ge(g, h) and _sound_ge(h, j)
-            assert find_ge_refutation(g, j, default_universe, ev) is None
+            assert find_ge_refutation(g, j, default_universe) is None
             checked += 1
         # equivalence chains: g >= h >= g' with all three equivalent
         from scoreplay.core import _esig
@@ -193,7 +190,7 @@ class TestC06PartialOrder:
             if len(members) >= 3:
                 g, h, j = members[:3]
                 assert _sound_ge(g, h) and _sound_ge(h, j)
-                assert find_ge_refutation(g, j, default_universe, ev) is None
+                assert find_ge_refutation(g, j, default_universe) is None
                 checked += 1
                 if checked >= 40:
                     break
@@ -205,16 +202,15 @@ class TestC06PartialOrder:
             find_ge_refutation,
         )
 
-        ev = SumEvaluator()
         mutual = 0
         for g in tiny_universe:
             for h in tiny_universe:
-                if find_ge_refutation(g, h, tiny_universe, ev) is not None:
+                if find_ge_refutation(g, h, tiny_universe) is not None:
                     continue
-                if find_ge_refutation(h, g, tiny_universe, ev) is not None:
+                if find_ge_refutation(h, g, tiny_universe) is not None:
                     continue
                 mutual += 1
-                assert find_eq_refutation(g, h, tiny_universe, ev) is None
+                assert find_eq_refutation(g, h, tiny_universe) is None
         assert mutual >= len(tiny_universe)  # at least the diagonal
 
 
@@ -296,11 +292,10 @@ def test_c10_reduction_safety(default_universe):
 def test_c11_confluence():
     games = sample_confluence_games(1000, seed=11)
     assert len(games) == 1000
-    ev = SumEvaluator()
     reduced_count = 0
     for g in games:
         forms = [
-            canonicalize(g, DEFAULT, Mode.SOUND, order_seed=s, evaluator=ev)[0]
+            canonicalize(g, DEFAULT, Mode.SOUND, order_seed=s)[0]
             for s in (None, 1, 2)
         ]
         if any(f is not g for f in forms):

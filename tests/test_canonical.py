@@ -32,7 +32,6 @@ from scoreplay import (
 from scoreplay import canonical
 from scoreplay.canonical import _candidates
 from scoreplay.core import _postorder
-from scoreplay.sums import SumEvaluator
 from scoreplay.verify import sample_confluence_games
 
 from conftest import DEFAULT, TINY
@@ -219,11 +218,10 @@ class TestCandidateOrder:
         assert several > 1000
 
 
-def _tree_canonicalize(g, spec, mode=Mode.SOUND, order_seed=None, evaluator=None):
+def _tree_canonicalize(g, spec, mode=Mode.SOUND, order_seed=None):
     """The walker that canonicalize memoized: every tree position reduced
     afresh, Left options then Right, each before its parent; kept here as
     the reference for forms and traces."""
-    ev = evaluator or SumEvaluator()
     rng = random.Random(order_seed) if order_seed is not None else None
     trace = ReductionTrace()
     # (position's term, its path, the canonical forms of its options so far)
@@ -240,7 +238,7 @@ def _tree_canonicalize(g, spec, mode=Mode.SOUND, order_seed=None, evaluator=None
         stack.pop()
         node = game(done[:nl], t.score, done[nl:])
         while True:
-            hit = reduce_step(node, spec, mode, rng, ev)
+            hit = reduce_step(node, spec, mode, rng)
             if hit is None:
                 break
             node, step = hit
@@ -276,13 +274,12 @@ class TestMemoizedWalk:
         sums = [add(rng.choice(singles[:40]), rng.choice(singles[:40]))
                 for _ in range(25)]
         spec = DEFAULT if mode is Mode.SOUND else UniverseSpec(1, 1, (-1, 0, 1))
-        ev = SumEvaluator()
         steps = below = 0
         for g in singles + sums:
-            want, ref = _tree_canonicalize(g, spec, mode, seed, ev)
+            want, ref = _tree_canonicalize(g, spec, mode, seed)
             # twice: a SOUND call also reads what earlier calls kept
             for _ in range(2):
-                got, trace = canonicalize(g, spec, mode, seed, ev)
+                got, trace = canonicalize(g, spec, mode, seed)
                 assert got is want, render(g)
                 assert _fields(trace) == _fields(ref), render(g)
             steps += len(ref.steps)
@@ -347,18 +344,17 @@ class TestMemoizedWalk:
         sums = [add(rng.choice(singles[:40]), rng.choice(singles[:40]))
                 for _ in range(25)]
         games = singles + sums
-        ev = SumEvaluator()
-        want = [_tree_canonicalize(g, DEFAULT, Mode.SOUND, seed, ev) for g in games]
+        want = [_tree_canonicalize(g, DEFAULT, Mode.SOUND, seed) for g in games]
 
         def check(g, form, ref):
-            got, trace = canonicalize(g, DEFAULT, order_seed=seed, evaluator=ev)
+            got, trace = canonicalize(g, DEFAULT, order_seed=seed)
             assert got is form, render(g)
             assert _fields(trace) == _fields(ref), render(g)
 
         for g, (form, ref) in zip(games, want):
             clear_caches()
             check(g, form, ref)
-        unseeded = [canonicalize(g, DEFAULT, evaluator=ev)[1] for g in games]
+        unseeded = [canonicalize(g, DEFAULT)[1] for g in games]
         # the warm memo replays root steps that a seeded call must redraw
         assert sum(type(v) is tuple for v in canonical._sound_forms.values()) > 300
         assert sum(_fields(a) != _fields(b) for a, (_, b) in zip(unseeded, want)) > 50
@@ -418,14 +414,13 @@ class TestMemoizedWalk:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_is_canonical_means_no_subterm_has_a_candidate(self, mode):
         games = sample_confluence_games(300, seed=37) + list(universe(DEFAULT))
-        ev = SumEvaluator()
         spec = UniverseSpec(1, 1, (-1, 0, 1))
         verdicts = []
         for g in games:
             want = not any(
                 _candidates(t, spec, mode) for t in _postorder(g, ())
             )
-            assert is_canonical(g, spec, mode, ev) is want, render(g)
+            assert is_canonical(g, spec, mode) is want, render(g)
             verdicts.append(want)
         assert 0 < sum(verdicts) < len(verdicts)
 

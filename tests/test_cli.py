@@ -593,6 +593,29 @@ def test_other_argv_is_left_to_argparse(argv):
     assert _plain_args(argv) is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["enum", "--mode=--"], ["enum", "--depth=--"],
+    ["verify", "partition", "--grid=--"], ["eval", "0", "--scores=--"],
+    ["cmp", "0", "1", "--format=--"], ["cmp", "0", "1", "--seed=--"],
+    ["cmp", "0", "--", "--"],
+], ids=" ".join)
+def test_a_dropped_double_dash_value_is_a_usage_error(argv):
+    # Before Python 3.13 argparse reads the value of a "--flag=--" as [],
+    # and on every version the positional after "0 -- --"; 3.13 refuses
+    # the flags itself, in its own words, so the message is not pinned.
+    from scoreplay.cli import _plain_args
+
+    assert _plain_args(argv) is None
+    done = subprocess.run(
+        [sys.executable, "-m", "scoreplay", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "error:" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_seeded_cmp_argv_takes_the_plain_path():
     # The argv shape of the cmp-default benchmark workload: only a game
     # written as a bare negative number is left to argparse.

@@ -182,13 +182,13 @@ class TestEqual:
             assert v == Proved(SoundRule.IDENTICAL)
 
 
-def _reference_equal(g, h, spec, ev):
+def _reference_equal(g, h, spec):
     """equal with its own identity and equivalence checks, not _sound_ge."""
     if g is h:
         return Proved(SoundRule.IDENTICAL)
     if equivalent(g, h):
         return Proved(SoundRule.EQUIVALENT)
-    x = find_eq_refutation(g, h, universe(spec), ev)
+    x = find_eq_refutation(g, h, universe(spec))
     if x is not None:
         return Refuted(x)
     return Unrefuted(spec)
@@ -203,13 +203,12 @@ class TestEqualThroughSoundGe:
         else:
             rng = random.Random(3000)
             pairs = [(rng.choice(games), rng.choice(games)) for _ in range(3000)]
-        ev = SumEvaluator()
         kinds = set()
         for g, h in pairs:
-            v = equal(g, h, spec, ev)
-            assert v == _reference_equal(g, h, spec, ev), (g, h)
-            ge = greater_equal(g, h, spec, ev)
-            le = less_equal(g, h, spec, ev)
+            v = equal(g, h, spec)
+            assert v == _reference_equal(g, h, spec), (g, h)
+            ge = greater_equal(g, h, spec)
+            le = less_equal(g, h, spec)
             assert isinstance(v, Proved) == (
                 isinstance(ge, Proved) and isinstance(le, Proved)
             ), (g, h)
@@ -227,10 +226,9 @@ class TestDuality:
         assert duality_check(g, g)
 
     def test_exhaustive_on_tiny_universe(self, tiny_universe):
-        ev = SumEvaluator()
         for g in tiny_universe[::3]:
             for h in tiny_universe[::3]:
-                assert duality_check(g, h, TINY, ev)
+                assert duality_check(g, h, TINY)
 
 
 class TestWitnessDeterminism:
@@ -242,43 +240,40 @@ class TestWitnessDeterminism:
         ]
         for g, h in pairs:
             first = greater_equal(g, h)
-            again = greater_equal(g, h, DEFAULT_UNIVERSE, SumEvaluator())
+            again = greater_equal(g, h, DEFAULT_UNIVERSE)
             assert first == again
 
     def test_witness_is_minimal_in_term_order(self, default_universe):
         g, h = leaf(0), leaf(1)
         v = greater_equal(g, h)
-        ev = SumEvaluator()
         for x in default_universe:
             if x is v.witness:
                 break
-            assert find_ge_refutation(g, h, [x], ev) is None
+            assert find_ge_refutation(g, h, [x]) is None
 
 
 class TestSoundnessOfProved:
     def test_proved_verdicts_survive_exhaustive_search(self, tiny_universe):
         from scoreplay.order import find_le_refutation
 
-        ev = SumEvaluator()
         proved = 0
         for g in tiny_universe:
             for h in tiny_universe:
-                v = greater_equal(g, h, TINY, ev)
+                v = greater_equal(g, h, TINY)
                 if not isinstance(v, Proved):
                     continue
                 proved += 1
-                assert find_ge_refutation(g, h, tiny_universe, ev) is None
-                w = less_equal(h, g, TINY, ev)
+                assert find_ge_refutation(g, h, tiny_universe) is None
+                w = less_equal(h, g, TINY)
                 assert isinstance(w, Proved)
-                assert find_le_refutation(h, g, tiny_universe, ev) is None
+                assert find_le_refutation(h, g, tiny_universe) is None
         assert proved > len(tiny_universe)  # diagonal plus real pairs
 
 
 class TestPartialOrderProbes:
     def test_reflexivity_never_refuted(self, tiny_universe):
-        ev = SumEvaluator()
         for g in tiny_universe:
-            assert find_ge_refutation(g, g, tiny_universe, ev) is None
+            assert find_ge_refutation(g, g, tiny_universe) is None
 
     def test_equivalence_implies_bounded_equality(self, default_universe):
         # every equivalent pair has equal outcomes in every context
@@ -287,17 +282,36 @@ class TestPartialOrderProbes:
         classes = {}
         for g in default_universe:
             classes.setdefault(_esig(g), []).append(g)
-        ev = SumEvaluator()
         checked = 0
         for members in classes.values():
             if len(members) < 2:
                 continue
             g, h = members[0], members[1]
-            assert find_eq_refutation(g, h, default_universe, ev) is None
+            assert find_eq_refutation(g, h, default_universe) is None
             checked += 1
             if checked >= 12:
                 break
         assert checked > 0
+
+
+def test_only_the_pointwise_tests_take_an_evaluator():
+    # Relations, searches and reductions read the context tables; only
+    # the one-context tests evaluate pairs with a SumEvaluator.
+    import inspect
+
+    from scoreplay import canonical
+
+    takers = {
+        f"{module.__name__}.{name}"
+        for module in (order, canonical)
+        for name in module.__all__
+        if inspect.isfunction(f := getattr(module, name))
+        for p in inspect.signature(f).parameters.values()
+        if "SumEvaluator" in str(p.annotation)
+    }
+    assert takers == {
+        "scoreplay.order.ge_refutation_at", "scoreplay.order.le_refutation_at"
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +336,11 @@ def _scalar_first_hits(g, h, contexts):
     return ge, le, eq
 
 
-def _kernel_first_hits(g, h, make_contexts, ev):
+def _kernel_first_hits(g, h, make_contexts):
     return (
-        find_ge_refutation(g, h, make_contexts(), ev),
-        find_le_refutation(g, h, make_contexts(), ev),
-        find_eq_refutation(g, h, make_contexts(), ev),
+        find_ge_refutation(g, h, make_contexts()),
+        find_le_refutation(g, h, make_contexts()),
+        find_eq_refutation(g, h, make_contexts()),
     )
 
 
@@ -394,16 +408,14 @@ class TestContextKernel:
         }
         games, contexts = pools[source]
         rng = random.Random(source)
-        ev = SumEvaluator()  # passed as callers do; searches do not read it
         for _ in range(12):
             g, h = rng.choice(games), rng.choice(games)
             expected = _scalar_first_hits(g, h, contexts)
-            assert _kernel_first_hits(g, h, lambda: contexts, ev) == expected
-            assert _kernel_first_hits(g, h, lambda: contexts, None) == expected
+            assert _kernel_first_hits(g, h, lambda: contexts) == expected
             assert _kernel_first_hits(
-                g, h, lambda: list(contexts), ev) == expected
+                g, h, lambda: list(contexts)) == expected
             assert _kernel_first_hits(
-                g, h, lambda: (x for x in contexts), ev) == expected
+                g, h, lambda: (x for x in contexts)) == expected
             _check_witnesses(g, h, expected)
 
     def test_one_element_and_unordered_lists(self, tiny_universe):
@@ -414,19 +426,18 @@ class TestContextKernel:
         mixed = rng.sample(deep, 10) + rng.sample(list(tiny_universe), 10)
         mixed += mixed[:3]
         rng.shuffle(mixed)
-        ev = SumEvaluator()
         for _ in range(10):
             g, h = rng.choice(deep), rng.choice(list(tiny_universe))
             for x in mixed[:6]:
                 expected = _scalar_first_hits(g, h, [x])
-                assert _kernel_first_hits(g, h, lambda: [x], ev) == expected
+                assert _kernel_first_hits(g, h, lambda: [x]) == expected
             expected = _scalar_first_hits(g, h, mixed)
-            assert _kernel_first_hits(g, h, lambda: mixed, ev) == expected
+            assert _kernel_first_hits(g, h, lambda: mixed) == expected
             _check_witnesses(g, h, expected)
 
     def test_empty_contexts_never_refute(self):
         g, h = leaf(0), leaf(1)
-        assert _kernel_first_hits(g, h, lambda: [], None) == (None, None, None)
+        assert _kernel_first_hits(g, h, lambda: []) == (None, None, None)
 
     def test_any_table_has_one_id_per_class(self, small_universe):
         contexts = list(small_universe)
@@ -438,11 +449,10 @@ class TestContextKernel:
         contexts = list(small_universe)
         pool = contexts + _deep_games()[:10]
         rng = random.Random(147)
-        ev = SumEvaluator()
         for _ in range(40):
             g, h = rng.choice(pool), rng.choice(pool)
-            assert _kernel_first_hits(g, h, lambda: contexts, ev) == (
-                _kernel_first_hits(g, h, lambda: small_universe, ev)
+            assert _kernel_first_hits(g, h, lambda: contexts) == (
+                _kernel_first_hits(g, h, lambda: small_universe)
             )
 
     def test_rows_equal_pairwise_evaluator(self, small_universe):
@@ -474,37 +484,36 @@ class TestContextKernel:
         table = u.table
         assert universe(DEFAULT_UNIVERSE).table is table
         table.other.clear()
-        ev = SumEvaluator()
         # universe games are decided from their class masks, not rows
-        assert greater_equal(leaf(0), leaf(1), DEFAULT_UNIVERSE, ev) == (
+        assert greater_equal(leaf(0), leaf(1), DEFAULT_UNIVERSE) == (
             Refuted(zero(), OutcomeSet.L_GT)
         )
         g, h = parse("{2|0|.}"), parse("{1|0|.}")
-        assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
+        assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE), Unrefuted)
         masks = table.masks
         assert {_esig(x) for x in (leaf(0), leaf(1), g, h)} <= masks.keys()
         assert table.other == {}
         # so are games outside the universe, whose masks go to other
-        assert greater_equal(leaf(0), leaf(3), DEFAULT_UNIVERSE, ev) == (
+        assert greater_equal(leaf(0), leaf(3), DEFAULT_UNIVERSE) == (
             Refuted(zero(), OutcomeSet.L_GT)
         )
         g = parse("{3|0|.}")
-        assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE, ev), Unrefuted)
+        assert isinstance(greater_equal(g, h, DEFAULT_UNIVERSE), Unrefuted)
         assert table.other.keys() == {_esig(leaf(3)), _esig(g)}
         assert _esig(leaf(3)) not in masks and _esig(g) not in masks
         # find_* over the universe tuple reads and keeps the same masks
-        assert find_ge_refutation(leaf(0), leaf(4), u, ev) == (
+        assert find_ge_refutation(leaf(0), leaf(4), u) == (
             zero(), OutcomeSet.L_GT
         )
-        assert find_ge_refutation(g, h, u, ev) is None
+        assert find_ge_refutation(g, h, u) is None
         assert table.other.keys() == {_esig(leaf(3)), _esig(g), _esig(leaf(4))}
         # over any other list it gets a table of its own
         other = dict(table.other)
         contexts = list(u)
-        assert find_ge_refutation(leaf(0), leaf(5), contexts, ev) == (
+        assert find_ge_refutation(leaf(0), leaf(5), contexts) == (
             zero(), OutcomeSet.L_GT
         )
-        assert find_ge_refutation(g, h, contexts, ev) is None
+        assert find_ge_refutation(g, h, contexts) is None
         assert table.other == other
         # duality_check builds whole rows for one call and keeps none
         seen = []
@@ -516,11 +525,10 @@ class TestContextKernel:
 
         monkeypatch.setattr(order, "_extend_rows", spy)
         for _ in range(2):
-            assert duality_check(g, h, DEFAULT_UNIVERSE, ev)
+            assert duality_check(g, h, DEFAULT_UNIVERSE)
         (first, n1), _, (second, n2), _ = seen
         assert first is not second and n1 == n2 == 0
         assert table.other == other and table.masks is masks
-        assert vars(ev) == {"_memo": {}}
 
     def test_first_member_ids_follow_the_callers_order(self):
         # b is a subterm of a, so it is built before a; the first member

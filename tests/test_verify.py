@@ -217,7 +217,7 @@ def test_duality_rows_flag_the_scalar_contexts(monkeypatch):
             ge = [order.ge_refutation_at(g, h, x, ev) is not None for x in games]
             le = [order.le_refutation_at(h, g, x, ev) is not None for x in games]
             assert ge == le
-            assert order.duality_check(g, h, TINY, ev)
+            assert order.duality_check(g, h, TINY)
     assert verify_duality(TINY, max_pairs=10**9).passed
     # and the row comparison is live: a <= test that always hits breaks it
     monkeypatch.setattr(order, "_LE_TEST", lambda *scores: True)
@@ -225,7 +225,7 @@ def test_duality_rows_flag_the_scalar_contexts(monkeypatch):
 
 
 def _refutes_itself(find):
-    def broken(g, h, contexts, ev=None):
+    def broken(g, h, contexts):
         return (g, UP_SETS[0]) if g is h else find(g, h, contexts)
     return broken
 

@@ -286,9 +286,14 @@ def shift(g: GameTerm, c: Score) -> GameTerm:
 def subterm_at(g: GameTerm, path: NodePath) -> GameTerm:
     """The vertex addressed by path, or PathError."""
     node = g
-    for n, (side, index) in enumerate(path):
+    for n, step in enumerate(path):
+        if not isinstance(step, (tuple, list)) or len(step) != 2:
+            raise PathError(f"step {n}: expected (side, index), got {step!r}")
+        side, index = step
         if not isinstance(side, Side):
             raise PathError(f"step {n}: side must be Side, got {side!r}")
+        if type(index) is not int:
+            raise PathError(f"step {n}: index must be int, got {index!r}")
         options = node.left if side is Side.LEFT else node.right
         if not 0 <= index < len(options):
             raise PathError(

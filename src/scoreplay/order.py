@@ -543,13 +543,14 @@ def _find(
 ) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
     """The first context, in the caller's order, that refutes, with its set.
 
-    A tuple from ``universe`` is searched through its own table, which
-    keeps the masks it builds.  Any other iterable gets a throwaway
-    table, whose masks are dropped with it.
+    It is read off the sign masks of the classes of g and h.  A tuple
+    from ``universe`` is searched through its own table, which keeps the
+    masks it builds: in ``masks`` for its own classes, in ``other`` for
+    any other class.  Any other iterable gets a throwaway table, whose
+    masks are dropped with it.
     """
-    if isinstance(contexts, _Games):
-        return _search(g, h, contexts.table, sets)
-    return _search(g, h, ContextTable(contexts), sets)
+    table = contexts.table if isinstance(contexts, _Games) else ContextTable(contexts)
+    return _mask_refutation(_class_masks(table, g), _class_masks(table, h), table, sets)
 
 
 def find_ge_refutation(
@@ -608,25 +609,8 @@ def _verdict(
     """
     if sound is not None:
         return sound
-    hit = _search(g, h, universe(spec).table, sets)
+    hit = _find(g, h, universe(spec), sets)
     return Unrefuted(spec) if hit is None else Refuted(*hit)
-
-
-def _search(
-    g: GameTerm,
-    h: GameTerm,
-    table: ContextTable,
-    sets: Optional[tuple[OutcomeSet, ...]],
-) -> Optional[tuple[GameTerm, Optional[OutcomeSet]]]:
-    """The first refutation over the table, or None.
-
-    It is read off the sign masks of the classes of g and h, which the
-    table caches: in ``masks`` for its own classes, in ``other`` for any
-    other class.
-    """
-    gm = _class_masks(table, g, _esig(g))
-    hm = _class_masks(table, h, _esig(h))
-    return _mask_refutation(gm, hm, table, sets)
 
 
 def equal(
@@ -642,8 +626,8 @@ def equal(
     return _verdict(_sound_ge(g, h) and _sound_ge(h, g), g, h, spec, None)
 
 
-def _class_masks(table: ContextTable, g: GameTerm, k: int) -> _Masks:
-    """The sign masks of g's class k over the table; k may be any class.
+def _class_masks(table: ContextTable, g: GameTerm) -> _Masks:
+    """The sign masks of g's class over the table; it may be any class.
 
     Bit i of each mask stands for the context of table id i, and is set
     where g+X is in the mask's set.  Equivalent games have equal rows
@@ -686,6 +670,7 @@ def _class_masks(table: ContextTable, g: GameTerm, k: int) -> _Masks:
     threshold ORs (or ANDs) in.  A universe of depth 1 has one level, so
     its masks need no per-column work at all.
     """
+    k = _esig(g)
     known, other = table.masks, table.other
     masks = known.get(k) or other.get(k)
     if masks is not None:

@@ -12,7 +12,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from operator import ne
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .canonical import Mode, canonicalize, is_canonical, reduce_step
 from .core import GameTerm, _esig, equivalent, game, leaf, negate, term_order_key
@@ -43,7 +43,6 @@ __all__ = [
     "SuiteResult",
     "TemplateSweep",
     "outcome_template_sweep",
-    "Suite",
     "SUITES",
     "run_suite",
     "sample_confluence_games",
@@ -390,11 +389,11 @@ def verify_identity(spec: UniverseSpec) -> SuiteResult:
 def verify_reduction_safety(
     spec: UniverseSpec,
     context_spec: Optional[UniverseSpec] = None,
-    max_games: Optional[int] = None,
+    max_games: Optional[int] = 400,
     seed: int = 0,
 ) -> SuiteResult:
     """Every sound reduction step preserves the outcome in every context,
-    and strictly shrinks the tree."""
+    and strictly shrinks the tree.  ``max_games=None`` checks every game."""
     res = SuiteResult("reduction-safety")
     games = _sample(universe(spec), max_games, random.Random(seed))
     contexts = universe(context_spec or spec)
@@ -479,7 +478,7 @@ def sample_confluence_games(
 
 def verify_confluence(
     spec: UniverseSpec,
-    n_games: int = 1000,
+    n_games: int = 300,
     seed: int = 0,
 ) -> SuiteResult:
     """Different reduction orders land on equivalent canonical forms."""
@@ -536,37 +535,28 @@ def verify_cong_probe(spec: UniverseSpec) -> SuiteResult:
 # registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Suite:
-    """A registered suite: its function and the keyword defaults that
-    ``scoreplay verify`` runs it with.  The universe ``spec`` and the
-    sampling ``seed`` go only to functions that take them."""
-
-    run: Callable[..., SuiteResult]
-    defaults: dict = field(default_factory=dict)
-
-    def __call__(self, spec: UniverseSpec, seed: int = 0, **overrides) -> SuiteResult:
-        params = inspect.signature(self.run).parameters
-        given = {k: v for k, v in (("spec", spec), ("seed", seed)) if k in params}
-        return self.run(**{**given, **self.defaults, **overrides})
-
-
 SUITES = {
-    "partition": Suite(verify_partition),
-    "duality": Suite(verify_duality),
-    "partial-order": Suite(verify_partial_order),
-    "outcome-template": Suite(verify_outcome_template),
-    "identity": Suite(verify_identity),
-    "reduction-safety": Suite(verify_reduction_safety, {"max_games": 400}),
-    "confluence": Suite(verify_confluence, {"n_games": 300}),
-    "cong-probe": Suite(verify_cong_probe),
+    "partition": verify_partition,
+    "duality": verify_duality,
+    "partial-order": verify_partial_order,
+    "outcome-template": verify_outcome_template,
+    "identity": verify_identity,
+    "reduction-safety": verify_reduction_safety,
+    "confluence": verify_confluence,
+    "cong-probe": verify_cong_probe,
 }
 
 
 def run_suite(
     name: str, spec: UniverseSpec, seed: int = 0, **overrides
 ) -> SuiteResult:
-    """Run a named suite with its registered defaults; keywords override them."""
+    """Run a named suite with its own defaults; keywords override them.
+
+    The universe ``spec`` and the sampling ``seed`` go only to a suite
+    that takes them."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](spec, seed, **overrides)
+    run = SUITES[name]
+    params = inspect.signature(run).parameters
+    given = {k: v for k, v in (("spec", spec), ("seed", seed)) if k in params}
+    return run(**given, **overrides)

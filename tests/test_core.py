@@ -196,6 +196,10 @@ class TestTerminationVertices:
             subterm_at(g, ((Side.LEFT, 1),))
         with pytest.raises(PathError):
             subterm_at(g, ((Side.RIGHT, 0), (Side.LEFT, 5)))
+        for step in ((Side.LEFT, 0.5), (Side.LEFT, "0"), (Side.LEFT,),
+                     (Side.LEFT, True)):
+            with pytest.raises(PathError, match="step 1"):
+                subterm_at(g, ((Side.RIGHT, 0), step))
 
 
 class TestEquivalent:

@@ -826,7 +826,7 @@ class TestClassMasks:
         table = universe(DEFAULT_UNIVERSE).table
         full = table.full
         for g in list(default_universe) + _deep_games() + _fraction_games():
-            parts = _outcome_masks(_class_masks(table, g, _esig(g)), full)
+            parts = _outcome_masks(_class_masks(table, g), full)
             union = 0
             for part in parts:
                 assert union & part == 0
@@ -930,7 +930,7 @@ class TestMaskRecurrence:
     def test_every_class_matches_its_row(self, spec, classes):
         table = _fresh_table(spec)
         for g in _class_games(table):
-            _class_masks(table, g, _esig(g))
+            _class_masks(table, g)
         assert len(table.masks) == classes
         # depth 1: every option of every context is a number
         assert len(table.levels) == 1
@@ -941,7 +941,7 @@ class TestMaskRecurrence:
         table = _fresh_table(DEPTH_TWO)
         assert len(table) == len(table.first_of) == 7205
         for g in random.Random(1515).sample(_class_games(table), 60):
-            _class_masks(table, g, _esig(g))
+            _class_masks(table, g)
         # 80 contexts have numbers for options, or none; the deep pass
         # reads the other columns, level 2
         level_two = {i for side in table.levels[1] for i in side[0]}
@@ -953,11 +953,11 @@ class TestMaskRecurrence:
     def test_building_a_class_builds_its_option_classes(self):
         table = _fresh_table(DEPTH_TWO)
         g = parse("{{1|0|.}|0|{.|1|2}}")
-        masks = _class_masks(table, g, _esig(g))
+        masks = _class_masks(table, g)
         subterms = [g, parse("{1|0|.}"), parse("{.|1|2}"), leaf(1), leaf(2)]
         assert table.masks.keys() == {_esig(t) for t in subterms}
         assert all(k in table.first_of for k in table.masks)
-        assert _class_masks(table, g, _esig(g)) is masks
+        assert _class_masks(table, g) is masks
         assert _mismatched_classes(table) == []
 
     @pytest.mark.parametrize("spec", [DEFAULT_UNIVERSE, DEPTH_TWO])
@@ -969,7 +969,7 @@ class TestMaskRecurrence:
         ]
         assert len(outside) >= 7
         for g in outside:
-            assert _class_masks(table, g, _esig(g)) == (
+            assert _class_masks(table, g) == (
                 _row_class_masks(table, g, rows)
             ), render(g)
         assert {_esig(g) for g in outside} <= table.other.keys()
@@ -1026,7 +1026,7 @@ class TestMaskRecurrence:
         monkeypatch.setattr(ContextTable, "signs", broken)
         table = _fresh_table(DEFAULT_UNIVERSE)
         for g in _class_games(table):
-            _class_masks(table, g, _esig(g))
+            _class_masks(table, g)
         assert _mismatched_classes(table) != []
 
     def test_first_members_hold_their_contexts(self):
@@ -1058,7 +1058,7 @@ class TestMaskRecurrence:
         extra = parse("{1|1|-1}")
         assert table.games.index(extra) == len(table) - 2
         for g in games:
-            _class_masks(table, g, _esig(g))
+            _class_masks(table, g)
         assert len(table.masks) == len(table.first_of)
         assert _mismatched_classes(table) == []
         # the last id, t's, is a column too: outcome N against P there

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import pytest
 
@@ -279,9 +280,40 @@ def test_run_suite_dispatch():
 
 
 def test_run_suite_applies_registered_defaults_and_overrides():
-    assert SUITES["reduction-safety"].defaults == {"max_games": 400}
-    assert SUITES["confluence"].defaults == {"n_games": 300}
+    params = inspect.signature(SUITES["reduction-safety"]).parameters
+    assert params["max_games"].default == 400
+    params = inspect.signature(SUITES["confluence"]).parameters
+    assert params["n_games"].default == 300
     res = run_suite("outcome-template", TINY, seed=5, bound=1)
     assert "grid_points=6561" in res.checks[0].details  # 106 of 125 at grid 1
     res = run_suite("confluence", TINY, seed=3, n_games=20)
     assert "games=20 " in res.checks[0].details
+
+
+def test_run_suite_passes_spec_and_seed_only_where_taken(monkeypatch):
+    calls = []
+
+    def takes_spec(spec, n=1):
+        calls.append(("takes_spec", spec, n))
+        return "spec-result"
+
+    def takes_seed(seed=0):
+        calls.append(("takes_seed", seed))
+        return "seed-result"
+
+    monkeypatch.setitem(SUITES, "takes-spec", takes_spec)
+    monkeypatch.setitem(SUITES, "takes-seed", takes_seed)
+    assert run_suite("takes-spec", TINY, seed=7) == "spec-result"
+    assert run_suite("takes-spec", TINY, seed=7, n=4) == "spec-result"
+    assert run_suite("takes-seed", TINY, seed=7) == "seed-result"
+    assert run_suite("takes-seed", TINY) == "seed-result"
+    assert calls == [
+        ("takes_spec", TINY, 1),
+        ("takes_spec", TINY, 4),
+        ("takes_seed", 7),
+        ("takes_seed", 0),
+    ]
+    with pytest.raises(TypeError):
+        run_suite("takes-spec", TINY, bound=2)
+    with pytest.raises(TypeError):
+        run_suite("takes-seed", TINY, n=2)

@@ -428,9 +428,12 @@ _parser: Optional[argparse.ArgumentParser] = None
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
+    global _parser
     args = _plain_args(argv)
     if args is not None:
         return args
+    if _parser is None:  # built for the first argv the table declines
+        _parser = build_parser()
     args = _parser.parse_args(argv)
     # argparse reads a value as [] where it drops a ``--``: that of a
     # ``--flag=--`` before Python 3.13, or a ``--`` after ``--``.
@@ -441,9 +444,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
-    global _parser
-    if _parser is None:  # built on first use, so importing stays cheap
-        _parser = build_parser()
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

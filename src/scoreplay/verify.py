@@ -11,7 +11,8 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass, field
-from operator import ne
+from itertools import chain
+from operator import contains, ne
 from typing import Optional, Sequence
 
 from .canonical import Mode, canonicalize, is_canonical, reduce_step
@@ -20,6 +21,7 @@ from .order import (
     ContextTable,
     UniverseSpec,
     _extend_rows,
+    _getter,
     _rows_mirror,
     _sound_ge,
     find_eq_refutation,
@@ -258,9 +260,14 @@ def outcome_template_sweep(bound: int = 3) -> TemplateSweep:
 
     The H-shaped games form one context table, so the score row of a G
     (see ``order._extend_rows``) holds the final scores of G+H for every
-    H at once.  Gs are visited subterm by subterm: the rows of {d|c|e}
-    and {{d|c|e}|b|.} serve every G built on them and are dropped with
-    their last one, so memory stays bounded by a few rows.
+    H at once; one gather per row side (``order._getter`` over the
+    table's order) reads it in pool order.  Gs are visited subterm by
+    subterm: the rows of {d|c|e} and {{d|c|e}|b|.} serve every G built
+    on them and are dropped with their last one.  The SR and SL checks
+    run at every grid point, each over a whole row at once.  For the
+    triples only the distinct (SL row, SR row) pairs of each outcome of
+    G are kept (125 pairs for 3,125 Gs at bound 2) and split into
+    triples once, after the sweep.
     """
     vals = list(range(-bound, bound + 1))
     h_pool, h_g, h_h = [], [], []
@@ -272,57 +279,64 @@ def outcome_template_sweep(bound: int = 3) -> TemplateSweep:
                 h_h.append(h)
     h_outcomes = [outcome(H).value for H in h_pool]
     plus_g = {v: [v + gg for gg in h_g] for v in vals}
-    plus_h = {v: [v + h for h in h_h] for v in vals}
+    plus_h = {v: tuple(v + h for h in h_h) for v in vals}
     table = ContextTable(h_pool)
+    pool_order = _getter(table.order)
+    n = len(h_pool)
     rows: dict[GameTerm, tuple[list, list]] = {}
 
-    def sum_scores(g: GameTerm) -> tuple[list, list]:
+    def sum_scores(g: GameTerm) -> tuple[tuple, tuple]:
         # SL and SR of g+H for each H of h_pool, in pool order.
         sl, sr = _extend_rows(g, table, rows)
         del rows[g]
-        return (list(map(sl.__getitem__, table.order)),
-                list(map(sr.__getitem__, table.order)))
+        return pool_order(sl), pool_order(sr)
 
-    # Per outcome of the first summand, the distinct (outcome of the
-    # second summand, SL, SR) of the sums; each is classified once below.
-    g_sums: dict[str, set] = {}
-    h_sums: dict[str, set] = {}
+    # Per outcome of the first summand, the distinct (SL, SR) rows of
+    # its sums; _triples splits each into triples once.
+    g_rows: dict[str, set] = {}
+    h_rows: dict[str, set] = {}
     sr_bad = sl_bad = 0
     points = 0
     for c in vals:
         for d in vals:
             for e in vals:
                 inner = game([leaf(d)], c, [leaf(e)])
+                right = plus_h[e]
+                # the two Left final scores allowed at each H
+                left = list(zip(plus_g[e], plus_h[d]))
                 for b in vals:
                     mid = game([inner], b, [])
                     for a in vals:
                         G = game([mid], a, [])
-                        sls, srs = sum_scores(G)
-                        points += len(sls)
-                        sr_bad += sum(map(ne, srs, plus_h[e]))
-                        sl_bad += sum(
-                            1 for sl, eg, dh in zip(sls, plus_g[e], plus_h[d])
-                            if sl != eg and sl != dh
-                        )
-                        g_sums.setdefault(outcome(G).value, set()).update(
-                            zip(h_outcomes, sls, srs)
-                        )
+                        sls, srs = scores = sum_scores(G)
+                        points += n
+                        if srs != right:  # one compare when all agree
+                            sr_bad += sum(map(ne, srs, right))
+                        sl_bad += n - sum(map(contains, left, sls))
+                        g_rows.setdefault(outcome(G).value, set()).add(scores)
                     del rows[mid]
                 del rows[inner]
     for o1, H1 in zip(h_outcomes, h_pool):
-        h_sums.setdefault(o1, set()).update(zip(h_outcomes, *sum_scores(H1)))
+        h_rows.setdefault(o1, set()).add(sum_scores(H1))
 
-    fixed = _triples(g_sums)
+    fixed = _triples(g_rows, h_outcomes)
     swapped = {(o2, o1, o) for o1, o2, o in fixed}
-    family = fixed | swapped | _triples(h_sums)
+    family = fixed | swapped | _triples(h_rows, h_outcomes)
     return TemplateSweep(bound, points, fixed, family, sr_bad, sl_bad)
 
 
-def _triples(sums: dict[str, set]) -> set[tuple[str, str, str]]:
+def _triples(
+    rows: dict[str, set], second: list[str]
+) -> set[tuple[str, str, str]]:
+    """(o1, outcome of H, outcome of the sum) over the columns of every
+    row pair kept under o1; ``second`` holds the outcomes of the pool.
+    Each distinct (o2, SL, SR) of an o1 is classified once."""
     return {
         (o1, o2, outcome_from_scores(sl, sr).value)
-        for o1, seen in sums.items()
-        for o2, sl, sr in seen
+        for o1, pairs in rows.items()
+        for o2, sl, sr in set(chain.from_iterable(
+            zip(second, sls, srs) for sls, srs in pairs
+        ))
     }
 
 

@@ -349,8 +349,17 @@ class TestDeterminismAndConfig:
     def test_parser_is_built_once_and_env_is_read_per_call(self, monkeypatch):
         import scoreplay.cli as cli_mod
 
-        run_cli("enum", "--depth", "0", "--width", "0", "--scores", "0")
+        monkeypatch.setattr(cli_mod, "_parser", None)
+        assert run_cli("enum", "--depth", "0", "--width", "0",
+                       "--scores", "0") == (0, "0\n")
+        assert cli_mod._parser is None  # the flag table read that argv
+        assert run_cli("enum", "--dep", "0", "--width", "0",
+                       "--scores", "0") == (0, "0\n")
         parser = cli_mod._parser
+        assert parser is not None  # an abbreviation goes to argparse
+        assert run_cli("enum", "--dep", "0", "--width", "0",
+                       "--scores", "1") == (0, "1\n")
+        assert cli_mod._parser is parser
         monkeypatch.setenv("SCOREPLAY_DEPTH", "0")
         monkeypatch.setenv("SCOREPLAY_WIDTH", "0")
         monkeypatch.setenv("SCOREPLAY_SCORES", "2")

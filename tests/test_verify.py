@@ -154,8 +154,16 @@ def test_template_sweep_small_grid():
 
 
 def test_template_sweep_matches_scalar_evaluation():
-    # Every grid point again, through the scalar pair recursion.
-    vals = range(-1, 2)
+    # Every grid point again, through the scalar pair recursion; at bound
+    # 0 the H pool is one game, so its rows are read through one id.
+    for bound in (0, 1):
+        assert outcome_template_sweep(bound=bound) == _scalar_sweep(bound)
+    t = {("T", "T", "T")}
+    assert _scalar_sweep(0) == TemplateSweep(0, 1, t, t, 0, 0)
+
+
+def _scalar_sweep(bound):
+    vals = range(-bound, bound + 1)
     gs = [
         (outcome_template(a, b, c, d, e, 0, 0, 0)[0], d, e)
         for a in vals for b in vals for c in vals for d in vals for e in vals
@@ -181,8 +189,7 @@ def test_template_sweep_matches_scalar_evaluation():
         for H2, _, _ in hs:
             o = outcome_from_scores(*ev.final_scores(H1, H2)).value
             family.add((outcome(H1).value, outcome(H2).value, o))
-    expected = TemplateSweep(1, points, fixed, family, sr_bad, sl_bad)
-    assert outcome_template_sweep(bound=1) == expected
+    return TemplateSweep(bound, points, fixed, family, sr_bad, sl_bad)
 
 
 def test_reduction_safety_flags_an_unsound_step(monkeypatch):
@@ -245,6 +252,13 @@ def _sr_plus_one(extend_rows):
     return broken
 
 
+def _sl_plus_one(extend_rows):
+    def broken(g, table, rows):
+        sl, sr = extend_rows(g, table, rows)
+        return [v + 1 for v in sl], sr
+    return broken
+
+
 @pytest.mark.parametrize("suite, spec, kwargs, name, defect, detail", [
     ("partition", TINY, {}, "outcome",
      lambda real: lambda g: Outcome.T, "violations=42"),
@@ -258,6 +272,8 @@ def _sr_plus_one(extend_rows):
      lambda real: lambda g, h: g is h, "violations=27"),
     ("outcome-template", TINY, {"bound": 1}, "_extend_rows",
      _sr_plus_one, "violations=6561"),
+    ("outcome-template", TINY, {"bound": 1}, "_extend_rows",
+     _sl_plus_one, "violations=3969"),
 ])
 def test_each_suite_fails_on_a_defect(
         monkeypatch, suite, spec, kwargs, name, defect, detail):
